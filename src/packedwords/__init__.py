@@ -35,7 +35,6 @@ from .algebra import (
 )
 from .coalgebra import (
     Tensor2,
-    Tensor3,
     antipode,
     coproduct,
     counit,
@@ -89,7 +88,6 @@ __all__ = [
     "is_irreducible",
     "factor_irreducible",
     "Tensor2",
-    "Tensor3",
     "coproduct",
     "counit",
     "reduced_coproduct",

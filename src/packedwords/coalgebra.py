@@ -18,7 +18,6 @@ from .words import Word, _pack_letters, require_packed
 
 __all__ = [
     "Tensor2",
-    "Tensor3",
     "coproduct",
     "counit",
     "reduced_coproduct",
@@ -143,46 +142,6 @@ class Tensor2:
         return f"Tensor2({self.text()!r})"
 
 
-class Tensor3:
-    """Formal sum of ordered word triples; just enough for coassociativity."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Union[Mapping[Triple, object], Iterable[Tuple[Triple, object]]] = ()) -> None:
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Triple, Fraction] = {}
-        for triple, c in items:
-            c = Fraction(c) + acc.get(triple, _ZERO)
-            if c:
-                acc[triple] = c
-            else:
-                acc.pop(triple, None)
-        self.terms = acc
-
-    @classmethod
-    def _raw(cls, terms: dict[Triple, Fraction]) -> "Tensor3":
-        self = cls.__new__(cls)
-        self.terms = terms
-        return self
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Tensor3):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def items(self) -> list[Tuple[Triple, Fraction]]:
-        return sorted(self.terms.items())
-
-    def __repr__(self) -> str:
-        body = " + ".join(
-            f"{c}*{u.text()} (x) {v.text()} (x) {t.text()}" for (u, v, t), c in self.items()
-        )
-        return f"Tensor3({body or '0'!r})"
-
-
 def _coproduct_word(w: Word) -> dict[Pair, int]:
     # all 2^n ordered splits (I, J) of the position set, enumerated by a
     # binary counter; the right slot is quotiented by the selected letters,
@@ -295,7 +254,7 @@ def verify_coassociativity(w: Word) -> bool:
         for (a, b), c2 in _coproduct_word(v).items():
             key = (u, a, b)
             right[key] = right.get(key, 0) + c * c2
-    return Tensor3(left) == Tensor3(right)
+    return left == right
 
 
 def verify_bialgebra(u: Word, v: Word) -> bool:

@@ -246,16 +246,21 @@ def count_irreducible(n: int) -> int:
     """
     if n < 1:
         raise ValueError("the unit word is neither irreducible nor reducible")
-    if n >= len(_irreducible_cache):
+    global _irreducible_cache
+    cache = _irreducible_cache
+    if n >= len(cache):
+        # build the longer list first and publish it in one assignment, so a
+        # concurrent caller only ever sees a complete list
         dser = _packed_count_series(n)
         iser = dser * (1 + dser).reciprocal()
-        del _irreducible_cache[1:]
+        cache = [0]
         for m in range(1, n + 1):
             c = iser.coefficient(m)
             if c.denominator != 1:
                 raise ArithmeticError(f"non-integer irreducible count at {m}: {c}")
-            _irreducible_cache.append(int(c))
-    return _irreducible_cache[n]
+            cache.append(int(c))
+        _irreducible_cache = cache
+    return cache[n]
 
 
 def count_irreducible_compositions(n: int) -> int:

@@ -113,7 +113,9 @@ class TestPrimitivesVerb:
     def test_cap_can_be_raised(self, capsys):
         code, out, _ = run(capsys, "primitives", "--n", "5", "--grade-cap", "5")
         assert code == 0
-        assert out.splitlines()[0].startswith("grade=5 dim=")
+        lines = out.splitlines()
+        assert lines[0] == "grade=5 dim=607"
+        assert len(lines) == 608
 
 
 class TestEgfCheckVerb:

@@ -1,3 +1,5 @@
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -5,6 +7,7 @@ from math import factorial
 import pytest
 
 from oracles import brute_packed_words
+from packedwords import enumeration
 from packedwords import (
     RationalSeries,
     count_irreducible,
@@ -97,6 +100,42 @@ class TestIrreducibleCounts:
             count_irreducible(0)
         with pytest.raises(ValueError):
             count_irreducible_compositions(0)
+
+    def test_concurrent_callers_see_exact_values(self, monkeypatch):
+        # regression: the shared memo was once truncated and refilled in
+        # place, so concurrent callers raised IndexError or read shifted
+        # values; each round starts cold and four threads climb together
+        top = 24
+        d = [count_packed_total(m) for m in range(top + 1)]
+        expected = [0]
+        for n in range(1, top + 1):
+            expected.append(d[n] - sum(expected[j] * d[n - j] for j in range(1, n)))
+        faults = []
+
+        def caller():
+            for n in range(1, top + 1):
+                try:
+                    got = count_irreducible(n)
+                except Exception as exc:
+                    faults.append((n, repr(exc)))
+                else:
+                    if got != expected[n]:
+                        faults.append((n, got))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                monkeypatch.setattr(enumeration, "_irreducible_cache", [0])
+                threads = [threading.Thread(target=caller) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not faults, faults[:5]
 
 
 class TestEnumeration:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -8,6 +9,7 @@ from packedwords import (
     RationalMatrix,
     ResourceLimitError,
     Tensor2,
+    Word,
     coproduct,
     count_packed_total,
     delta_plus_matrix,
@@ -16,6 +18,7 @@ from packedwords import (
     product,
     reduced_coproduct,
 )
+from packedwords.primitives import _rref
 
 
 def W(text):
@@ -38,11 +41,49 @@ def span_rref(vectors, basis_words):
     return m.rref()[0]
 
 
+def to_sympy(matrix):
+    return sympy.Matrix(matrix.n_rows, matrix.n_cols, lambda i, j: sympy.Rational(matrix.entry(i, j)))
+
+
 def sympy_nullspace_dim(matrix):
     if matrix.n_rows == 0:
         return matrix.n_cols
-    m = sympy.Matrix(matrix.n_rows, matrix.n_cols, lambda i, j: sympy.Rational(matrix.entry(i, j)))
-    return len(m.nullspace())
+    return len(to_sympy(matrix).nullspace())
+
+
+def reference_kernel(matrix):
+    """Rank and canonical kernel by two passes of the slow _rref reference.
+
+    The first pass reduces the matrix, the second puts the kernel vectors
+    read off it into reduced echelon form.
+    """
+    n = matrix.n_cols
+    pivots, reduced = _rref([dict(r) for r in matrix.rows], n)
+    free = [c for c in range(n) if c not in pivots]
+    vectors = []
+    for f in free:
+        vec = {f: Fraction(1)}
+        for i, p in enumerate(pivots):
+            if reduced[i].get(f):
+                vec[p] = -reduced[i][f]
+        vectors.append(vec)
+    _, basis = _rref(vectors, n)
+    return len(pivots), [[row.get(c, Fraction(0)) for c in range(n)] for row in basis]
+
+
+def integer_matrix(rows, n_cols):
+    return RationalMatrix(
+        col_labels=[Word((j,)) for j in range(n_cols)],
+        row_labels=[(Word((i,)), Word()) for i in range(len(rows))],
+        rows=rows,
+    )
+
+
+def random_rows(rng, n_rows, n_cols, density):
+    return [
+        {c: rng.choice([-3, -2, -1, 1, 2, 3]) for c in range(n_cols) if rng.random() < density}
+        for _ in range(n_rows)
+    ]
 
 
 class TestDeltaPlusMatrix:
@@ -108,9 +149,15 @@ class TestPrimitiveSpace:
             assert is_primitive(z)
             assert {len(w) for w in z.terms} == {3}
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_dimension_agrees_with_independent_solver(self, n):
         assert primitive_space(n).dimension == sympy_nullspace_dim(delta_plus_matrix(n))
+
+    def test_grade_four_kernel_is_sympys_in_reduced_form(self):
+        m = delta_plus_matrix(4)
+        expected = sympy.Matrix.hstack(*to_sympy(m).nullspace()).T.rref()[0]
+        ours = sympy.Matrix([[sympy.Rational(x) for x in vec] for vec in m.nullspace()])
+        assert ours == expected
 
     def test_rank_nullity_through_grade_four(self):
         for n in range(1, 5):
@@ -152,6 +199,25 @@ class TestPrimitiveSpace:
         assert text[1:] == ["1*0", "1*1"]
 
 
+class TestRecheck:
+    """The coproduct re-check inside primitive_space, fed a doctored kernel."""
+
+    def doctor(self, monkeypatch, change):
+        real = RationalMatrix.nullspace
+        monkeypatch.setattr(RationalMatrix, "nullspace", lambda self: [change(v) for v in real(self)])
+
+    def test_rejects_a_vector_off_the_kernel(self, monkeypatch):
+        # every word of length >= 2 has a nonzero reduced coproduct
+        self.doctor(monkeypatch, lambda v: v[:-1] + [v[-1] + 1])
+        with pytest.raises(ArithmeticError, match="not primitive"):
+            primitive_space(3)
+
+    def test_accepts_rational_multiples(self, monkeypatch):
+        plain = primitive_space(3).vectors
+        self.doctor(monkeypatch, lambda v: [x * Fraction(-2, 3) for x in v])
+        assert primitive_space(3).vectors == [Fraction(-2, 3) * z for z in plain]
+
+
 class TestSolverInvariance:
     def test_row_permutation_leaves_output_unchanged(self):
         m = delta_plus_matrix(2)
@@ -183,3 +249,62 @@ class TestSolverInvariance:
         a = sympy.Matrix([[sympy.Rational(x) for x in vec] for vec in restored]).rref()[0]
         b = sympy.Matrix([[sympy.Rational(x) for x in vec] for vec in m.nullspace()]).rref()[0]
         assert a == b
+
+
+class TestEliminationAgainstReference:
+    """The one-pass sparse elimination against the two-pass _rref kernel."""
+
+    def check(self, matrix):
+        rank, kernel = reference_kernel(matrix)
+        nullspace = matrix.nullspace()
+        assert matrix.rank() == rank
+        assert nullspace == kernel
+        assert rank + len(nullspace) == matrix.n_cols
+        assert all(type(x) is Fraction for vec in nullspace for x in vec)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_reduced_coproduct_grades(self, n):
+        self.check(delta_plus_matrix(n))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_sparse_integer_matrices(self, seed):
+        rng = random.Random(seed)
+        n_rows, n_cols = rng.randint(1, 14), rng.randint(1, 14)
+        self.check(integer_matrix(random_rows(rng, n_rows, n_cols, rng.choice([0.15, 0.3, 0.6])), n_cols))
+
+    def test_zero_matrix(self):
+        m = integer_matrix([{}, {}, {}], 5)
+        assert m.rank() == 0
+        assert m.nullspace() == [[Fraction(int(i == j)) for j in range(5)] for i in range(5)]
+        self.check(m)
+        self.check(integer_matrix([], 4))
+
+    def test_full_rank(self):
+        rng = random.Random(3)
+        n = 10
+        rows = random_rows(rng, n, n, 0.3)
+        for i, row in enumerate(rows):
+            # nonzero diagonal above a zero lower triangle
+            rows[i] = {c: v for c, v in row.items() if c > i}
+            rows[i][i] = rng.choice([-2, -1, 1, 2])
+        rng.shuffle(rows)
+        m = integer_matrix(rows, n)
+        assert m.rank() == n
+        assert m.nullspace() == []
+        self.check(m)
+
+    def test_rational_entries(self):
+        rng = random.Random(5)
+        rows = [{c: Fraction(v, rng.randint(1, 4)) for c, v in row.items()} for row in random_rows(rng, 8, 11, 0.4)]
+        self.check(integer_matrix(rows, 11))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shuffled_rows_give_the_same_kernel(self, seed):
+        rng = random.Random(100 + seed)
+        rows = random_rows(rng, 12, 10, 0.3)
+        rows += [dict(rows[0]), {c: 2 * v for c, v in rows[1].items()}]  # dependent rows
+        shuffled = [dict(r) for r in rows]
+        rng.shuffle(shuffled)
+        m = integer_matrix(rows, 10)
+        assert integer_matrix(shuffled, 10).nullspace() == m.nullspace()
+        self.check(m)
