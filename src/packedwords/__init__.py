@@ -6,8 +6,9 @@ packing of words, multiplication and unique factorization into
 irreducibles, coproduct/counit/antipode with verifiers for the Hopf
 axioms, exact counting and generation by length and supremum, and
 primitive spaces as kernels of the reduced coproduct.  All arithmetic is
-exact (arbitrary-precision integers and rationals); everything is pure and
-safe to share between threads.
+exact: coefficients are arbitrary-precision integers, with rationals only
+where a non-integer appears; everything is pure and safe to share between
+threads.
 """
 
 from .words import (
@@ -25,6 +26,7 @@ from .words import (
     subword,
 )
 from .algebra import (
+    FormalSum,
     LinComb,
     Scalar,
     admissible_cuts,
@@ -81,6 +83,7 @@ __all__ = [
     "subword",
     "quotient",
     "Scalar",
+    "FormalSum",
     "LinComb",
     "shifted_concat",
     "product",

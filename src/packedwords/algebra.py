@@ -3,19 +3,24 @@
 ``shifted_concat`` appends the right factor after lifting its nonzero
 letters above the left factor's supremum; packed words are closed under it
 and form a free monoid, so every nonempty packed word factors uniquely into
-irreducible ones.  ``LinComb`` carries formal sums with exact rational
-coefficients and extends the product bilinearly.
+irreducible ones.  ``FormalSum`` holds the arithmetic of finite formal sums
+with exact coefficients: integers, since the structure constants are
+integers, and ``Fraction``s only where a non-integer appears.
+``LinComb`` is the formal sum of packed words and extends the product
+bilinearly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Tuple, Union
+from itertools import chain
+from typing import Hashable, Iterable, Mapping, Tuple, Union
 
 from .words import Word, require_packed
 
 __all__ = [
     "Scalar",
+    "FormalSum",
     "LinComb",
     "shifted_concat",
     "product",
@@ -25,10 +30,22 @@ __all__ = [
 ]
 
 # Exact rational scalars; arbitrary precision, always in lowest terms.
+# Coefficients that are plain ints stay ints.
 Scalar = Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _scalar(c: object) -> Union[int, Fraction]:
+    # ints stay ints; everything else (Fraction, float, str, bool) is made exact
+    return c if type(c) is int else Fraction(c)
+
+
+def _collect(terms: Iterable[Tuple[Hashable, object]]) -> dict:
+    """Sum the coefficients per key, then drop the keys whose sum is zero."""
+    acc: dict = {}
+    get = acc.get
+    for k, c in terms:
+        acc[k] = get(k, 0) + c
+    return {k: c for k, c in acc.items() if c}
 
 
 def shifted_concat(u: Word, v: Word) -> Word:
@@ -41,55 +58,39 @@ def shifted_concat(u: Word, v: Word) -> Word:
     return Word._raw(u.letters + tuple(i + t if i else 0 for i in v.letters))
 
 
-class LinComb:
-    """Finite formal sum of packed words with rational coefficients.
+class FormalSum:
+    """Finite formal sum of keys with exact coefficients.
 
-    The empty sum is zero; the empty word with coefficient 1 is the unit of
-    the algebra.  Instances are treated as immutable: every operation
-    returns a fresh value and no stored coefficient is ever zero.
+    The empty sum is zero.  Instances are treated as immutable: every
+    operation returns a fresh value of the same concrete type and no stored
+    coefficient is ever zero.  Sums of different concrete types neither
+    compare equal nor add.  A subclass supplies ``_check_key``, which
+    validates and normalises one key, and ``_key_text``, which renders one.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Union[Mapping[Word, object], Iterable[Tuple[Word, object]]] = ()) -> None:
+    def __init__(self, terms: Union[Mapping[Hashable, object], Iterable[Tuple[Hashable, object]]] = ()) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Word, Fraction] = {}
-        for w, c in items:
-            require_packed(w)
-            c = Fraction(c)
-            c += acc.get(w, _ZERO)
-            if c:
-                acc[w] = c
-            else:
-                acc.pop(w, None)
-        self.terms = acc
+        check = self._check_key
+        self.terms = _collect((check(k), _scalar(c)) for k, c in items)
 
     @classmethod
-    def _raw(cls, terms: dict[Word, Fraction]) -> "LinComb":
-        # internal: terms already normalized (packed keys, no zeros)
+    def _raw(cls, terms: dict):
+        # internal: terms already normalized (checked keys, no zeros)
         self = cls.__new__(cls)
         self.terms = terms
         return self
 
     @classmethod
-    def zero(cls) -> "LinComb":
+    def zero(cls):
         return cls._raw({})
 
-    @classmethod
-    def unit(cls) -> "LinComb":
-        return cls._raw({Word(): _ONE})
+    def coefficient(self, key: Hashable) -> Union[int, Fraction]:
+        return self.terms.get(key, 0)
 
-    @classmethod
-    def word(cls, w: Word, coeff: object = 1) -> "LinComb":
-        require_packed(w)
-        c = Fraction(coeff)
-        return cls._raw({w: c} if c else {})
-
-    def coefficient(self, w: Word) -> Fraction:
-        return self.terms.get(w, _ZERO)
-
-    def items(self) -> list[Tuple[Word, Fraction]]:
-        """Terms in canonical word order."""
+    def items(self) -> list:
+        """Terms in canonical key order."""
         return sorted(self.terms.items())
 
     def __bool__(self) -> bool:
@@ -99,52 +100,71 @@ class LinComb:
         return len(self.terms)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinComb):
+        if type(other) is not type(self):
             return NotImplemented
         return self.terms == other.terms
 
-    def __add__(self, other: "LinComb") -> "LinComb":
-        if not isinstance(other, LinComb):
+    def __add__(self, other: "FormalSum"):
+        if type(other) is not type(self):
             return NotImplemented
-        acc = dict(self.terms)
-        for w, c in other.terms.items():
-            s = acc.get(w, _ZERO) + c
-            if s:
-                acc[w] = s
-            else:
-                acc.pop(w, None)
-        return LinComb._raw(acc)
+        return self._raw(_collect(chain(self.terms.items(), other.terms.items())))
 
-    def __sub__(self, other: "LinComb") -> "LinComb":
-        if not isinstance(other, LinComb):
+    def __sub__(self, other: "FormalSum"):
+        if type(other) is not type(self):
             return NotImplemented
         return self + (-other)
 
-    def __neg__(self) -> "LinComb":
-        return LinComb._raw({w: -c for w, c in self.terms.items()})
+    def __neg__(self):
+        return self._raw({k: -c for k, c in self.terms.items()})
 
-    def __rmul__(self, scalar: object) -> "LinComb":
-        c = Fraction(scalar)
+    def __rmul__(self, scalar: object):
+        c = _scalar(scalar)
         if not c:
-            return LinComb.zero()
-        return LinComb._raw({w: c * v for w, v in self.terms.items()})
-
-    def __mul__(self, other: object) -> "LinComb":
-        if isinstance(other, (LinComb, Word)):
-            return product(self, other)
-        return self.__rmul__(other)
+            return self.zero()
+        return self._raw({k: c * v for k, v in self.terms.items()})
 
     def text(self) -> str:
-        """Canonically ordered rendering, e.g. "2*1,0 + -1*1,1"."""
+        """Canonically ordered rendering of "coefficient*key" terms."""
         if not self.terms:
             return "0"
-        return " + ".join(f"{c}*{w.text()}" for w, c in self.items())
+        key_text = self._key_text
+        return " + ".join(f"{c}*{key_text(k)}" for k, c in self.items())
 
     def __str__(self) -> str:
         return self.text()
 
     def __repr__(self) -> str:
-        return f"LinComb({self.text()!r})"
+        return f"{type(self).__name__}({self.text()!r})"
+
+
+class LinComb(FormalSum):
+    """Finite formal sum of packed words, e.g. "2*1,0 + -1*1,1".
+
+    The empty word with coefficient 1 is the unit of the algebra.
+    """
+
+    __slots__ = ()
+
+    _check_key = staticmethod(require_packed)
+
+    @staticmethod
+    def _key_text(w: Word) -> str:
+        return w.text()
+
+    @classmethod
+    def unit(cls) -> "LinComb":
+        return cls._raw({Word(): 1})
+
+    @classmethod
+    def word(cls, w: Word, coeff: object = 1) -> "LinComb":
+        require_packed(w)
+        c = _scalar(coeff)
+        return cls._raw({w: c} if c else {})
+
+    def __mul__(self, other: object) -> "LinComb":
+        if isinstance(other, (LinComb, Word)):
+            return product(self, other)
+        return self.__rmul__(other)
 
 
 def _as_lincomb(x: Union[LinComb, Word]) -> LinComb:
@@ -159,16 +179,9 @@ def product(a: Union[LinComb, Word], b: Union[LinComb, Word]) -> LinComb:
     """Bilinear extension of shifted concatenation."""
     a = _as_lincomb(a)
     b = _as_lincomb(b)
-    acc: dict[Word, Fraction] = {}
-    for u, cu in a.terms.items():
-        for v, cv in b.terms.items():
-            w = shifted_concat(u, v)
-            s = acc.get(w, _ZERO) + cu * cv
-            if s:
-                acc[w] = s
-            else:
-                acc.pop(w, None)
-    return LinComb._raw(acc)
+    return LinComb._raw(
+        _collect((shifted_concat(u, v), cu * cv) for u, cu in a.terms.items() for v, cv in b.terms.items())
+    )
 
 
 def _suffix_min_nonzero(letters: Tuple[int, ...]) -> list:

@@ -221,13 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="packedwords",
         description="Exact Hopf-algebra computations on packed words.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        metavar="N",
-        help="cap on internal parallelism (execution is serialized deterministically)",
-    )
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("enumerate", help="list packed words of a given length")
@@ -285,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error(f"--threads must be >= 1, got {args.threads}")
     try:
         return args.func(args)
     except ResourceLimitError as exc:

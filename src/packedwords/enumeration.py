@@ -6,7 +6,7 @@ giving d(n,k) = S(n,k)k! + S(n,k+1)(k+1)! = S(n+1,k+1)k! in terms of
 Stirling numbers of the second kind.  Totals per length follow the
 exponential generating function e^x/(2-e^x), and the irreducible counts
 come out of the free-monoid structure, either as an inclusion-exclusion
-over compositions or as a series inversion.  Everything is exact: integer
+over compositions or by an integer recurrence.  Everything is exact: integer
 counts are arbitrary precision and series coefficients are rationals.
 """
 
@@ -229,20 +229,15 @@ class RationalSeries:
         return f"RationalSeries({self.coeffs!r})"
 
 
-def _packed_count_series(max_n: int) -> RationalSeries:
-    # ordinary generating series of d_n with the constant term dropped
-    return RationalSeries([0] + [count_packed_total(m) for m in range(1, max_n + 1)])
-
-
 _irreducible_cache: list[int] = [0]
 
 
 def count_irreducible(n: int) -> int:
-    """Irreducible packed words of length n, by exact series inversion.
+    """Irreducible packed words of length n, by the integer recurrence.
 
     The free factorization gives 1 + D(x) = 1/(1 - I(x)) for the ordinary
-    counting series, hence I = D/(1+D); coefficients are extracted from the
-    exact rational expansion.
+    counting series, so comparing coefficients of D = I + I*D yields
+    i_n = d_n - sum_{j<n} i_j*d_{n-j}, computed in plain integers.
     """
     if n < 1:
         raise ValueError("the unit word is neither irreducible nor reducible")
@@ -251,14 +246,10 @@ def count_irreducible(n: int) -> int:
     if n >= len(cache):
         # build the longer list first and publish it in one assignment, so a
         # concurrent caller only ever sees a complete list
-        dser = _packed_count_series(n)
-        iser = dser * (1 + dser).reciprocal()
-        cache = [0]
-        for m in range(1, n + 1):
-            c = iser.coefficient(m)
-            if c.denominator != 1:
-                raise ArithmeticError(f"non-integer irreducible count at {m}: {c}")
-            cache.append(int(c))
+        d = [count_packed_total(m) for m in range(n + 1)]
+        cache = list(cache)
+        for m in range(len(cache), n + 1):
+            cache.append(d[m] - sum(cache[j] * d[m - j] for j in range(1, m)))
         _irreducible_cache = cache
     return cache[n]
 

@@ -249,7 +249,7 @@ def _is_primitive(z: LinComb, deltas: dict[Word, dict[_Pair, int]]) -> bool:
         a = int(c * scale)
         delta = deltas.get(w)
         if delta is None:
-            delta = deltas[w] = {(u.letters, v.letters): int(m) for (u, v), m in coproduct(w).terms.items()}
+            delta = deltas[w] = {(u.letters, v.letters): m for (u, v), m in coproduct(w).terms.items()}
         for pair, m in delta.items():
             total[pair] = total.get(pair, 0) + a * m
         for pair in ((w.letters, ()), ((), w.letters)):

@@ -96,7 +96,7 @@ def test_criterion_03_irreducible_counts_both_paths():
     # criterion 2's totals; checked here in plain integers, so a wrong table
     # entry is blamed on the table, not on the library
     start = time.monotonic()
-    series = [count_irreducible(n) for n in range(1, 11)]
+    recurrence = [count_irreducible(n) for n in range(1, 11)]
     comps = [count_irreducible_compositions(n) for n in range(1, 11)]
     elapsed = time.monotonic() - start
     frozen = I_COUNTS[1:]
@@ -112,8 +112,8 @@ def test_criterion_03_irreducible_counts_both_paths():
             f"which force i_{n} = {implied[n - 1]}"
         )
     for name, a, b in [
-        ("series and composition paths", series, comps),
-        ("series path and frozen list", series, frozen),
+        ("recurrence and composition paths", recurrence, comps),
+        ("recurrence path and frozen list", recurrence, frozen),
         ("composition path and frozen list", comps, frozen),
     ]:
         n = first_difference(a, b)
@@ -123,11 +123,11 @@ def test_criterion_03_irreducible_counts_both_paths():
         faults.append(f"took {elapsed:.3f}s, bound 1.0s")
     report(
         3,
-        f"i_1..i_10 by series inversion and composition sum in {elapsed:.3f}s",
+        f"i_1..i_10 by integer recurrence and composition sum in {elapsed:.3f}s",
         not faults,
         detail=(
             "; ".join(faults)
-            + f"\n  series:       {series}\n  compositions: {comps}"
+            + f"\n  recurrence:   {recurrence}\n  compositions: {comps}"
             + f"\n  frozen:       {frozen}"
         ),
     )

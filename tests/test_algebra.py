@@ -92,6 +92,24 @@ class TestLinComb:
         a = LinComb({W("2,1"): 1, W("1"): 1, W("1,2"): 1})
         assert [w.text() for w, _ in a.items()] == ["1", "1,2", "2,1"]
 
+    def test_non_integer_coefficients_stay_exact(self):
+        w = W("1,0")
+        for a in (LinComb({w: 0.5}), LinComb({w: "1/2"}), LinComb.word(w, Fraction(1, 2))):
+            assert a.text() == "1/2*1,0"
+            assert a.terms == {w: Fraction(1, 2)}
+
+    def test_integer_coefficients_stay_integers(self):
+        a = LinComb({W("1"): 2, W("0"): 1}) + LinComb.word(W("1"), 3)
+        assert all(type(c) is int for c in a.terms.values())
+        assert all(type(c) is int for c in product(a, a).terms.values())
+        # an integral Fraction renders like the equal int
+        assert LinComb.word(W("1"), Fraction(4, 2)).text() == (2 * LinComb.word(W("1"))).text() == "2*1"
+
+    def test_scalar_multiples_keep_the_type(self):
+        a = LinComb({W("1"): 3, W("0,1"): -1})
+        for scaled in (2 * a, Fraction(1, 3) * a, a * 2, 0 * a):
+            assert type(scaled) is LinComb
+
 
 class TestProduct:
     def test_bilinear_on_singletons(self):

@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -163,16 +165,6 @@ class TestErrors:
             main(["factor", "1,1", "--wat"])
         assert exc.value.code == 2
 
-    def test_threads_must_be_positive(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["--threads", "0", "enumerate", "1"])
-        assert exc.value.code == 2
-
-    def test_threads_accepted(self, capsys):
-        code, out, _ = run(capsys, "--threads", "4", "enumerate", "1")
-        assert code == 0
-        assert out == "0\n1\n"
-
 
 class TestDeterminism:
     def test_byte_identical_runs(self, capsys):
@@ -184,10 +176,12 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
 
     def test_module_entry_point(self):
+        src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run(
             [sys.executable, "-m", "packedwords", "product", "1,1", "1"],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
         )
         assert proc.returncode == 0
         assert proc.stdout == "1,1,2\n"

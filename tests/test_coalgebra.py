@@ -59,6 +59,20 @@ class TestTensor2:
         assert t.text() == "1*e (x) 1,1 + 2*1 (x) 0 + 1*1,1 (x) e"
         assert Tensor2.zero().text() == "0"
 
+    def test_scalar_multiples_keep_the_type(self):
+        t = T(("1", "0", 2), ("e", "1,1", 1))
+        assert type(2 * t) is Tensor2
+        assert type(Fraction(1, 3) * t) is Tensor2
+        assert (Fraction(1, 2) * t).text() == "1/2*e (x) 1,1 + 1*1 (x) 0"
+
+    def test_distinct_from_lincomb(self):
+        assert LinComb.zero() != Tensor2.zero()
+        assert Tensor2.zero() != LinComb.zero()
+        with pytest.raises(TypeError):
+            LinComb.unit() + Tensor2.zero()
+        with pytest.raises(TypeError):
+            Tensor2.zero() - LinComb.unit()
+
 
 class TestCoproduct:
     def test_golden_three_letter_word(self):
@@ -99,6 +113,10 @@ class TestCoproduct:
     def test_not_cocommutative(self):
         d = coproduct(W("1,1"))
         assert d.swap() != d
+
+    def test_coefficients_are_integers(self):
+        for w in words_up_to(4):
+            assert all(type(c) is int for c in coproduct(w).terms.values())
 
 
 class TestCounit:
@@ -142,6 +160,18 @@ class TestReducedCoproduct:
             for u, v in reduced_coproduct(w).terms:
                 assert u != empty and v != empty
 
+    def test_is_coproduct_without_trivial_terms(self):
+        empty = W("e")
+
+        def nontrivial(t):
+            return Tensor2({(u, v): c for (u, v), c in t.terms.items() if empty not in (u, v)})
+
+        for w in words_up_to(4):
+            assert reduced_coproduct(w) == nontrivial(coproduct(w))
+        mixed = LinComb({W("e"): 2, W("1"): -1, W("1,1"): Fraction(1, 2), W("0,1"): 3, W("1,0"): -3})
+        assert reduced_coproduct(mixed) == nontrivial(coproduct(mixed))
+        assert reduced_coproduct(mixed)
+
 
 class TestAntipode:
     def test_unit(self):
@@ -156,6 +186,10 @@ class TestAntipode:
     def test_extends_linearly(self):
         a = LinComb({W("1,1"): 1, W("1"): 3})
         assert antipode(a) == antipode(W("1,1")) + 3 * antipode(W("1"))
+
+    def test_coefficients_are_integers(self):
+        for w in words_up_to(4):
+            assert all(type(c) is int for c in antipode(w).terms.values())
 
     def test_algebra_antimorphism(self):
         ws = words_up_to(2)
