@@ -48,14 +48,18 @@ def _collect(terms: Iterable[Tuple[Hashable, object]]) -> dict:
     return {k: c for k, c in acc.items() if c}
 
 
+def _lift(letters: Tuple[int, ...], t: int) -> Tuple[int, ...]:
+    # the letters of a right factor: nonzero ones raised by t, x0 fixed
+    return tuple([i + t if i else 0 for i in letters]) if t else letters
+
+
 def shifted_concat(u: Word, v: Word) -> Word:
     """u followed by v with v's nonzero letters raised by sup(u).
 
     Defined for arbitrary words; packed inputs give a packed result, with
     length and supremum both adding up.
     """
-    t = u.sup
-    return Word._raw(u.letters + tuple(i + t if i else 0 for i in v.letters))
+    return Word._raw(u.letters + _lift(v.letters, u.sup))
 
 
 class FormalSum:

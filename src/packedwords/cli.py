@@ -186,6 +186,8 @@ def _verify_factorization(max_len: int) -> bool:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.max_len < 0:
+        raise ValueError(f"--max-len must be >= 0, got {args.max_len}")
     runners = {
         "coassoc": _verify_coassoc,
         "bialgebra": _verify_bialgebra,

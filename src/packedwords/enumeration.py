@@ -103,7 +103,7 @@ def enumerate_packed(n: int) -> list[Word]:
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    words = [Word((0,) * n)]
+    rows = [(0,) * n]
     positions = tuple(range(n))
     for k in range(1, n + 1):
         for m in range(k, n + 1):
@@ -114,9 +114,14 @@ def enumerate_packed(n: int) -> list[Word]:
                         for letter, block in zip(order, blocks):
                             for p in block:
                                 letters[p] = letter
-                        words.append(Word(letters))
-    words.sort()
-    return words
+                        rows.append(tuple(letters))
+    # all rows have length n, so sorting the letter tuples gives the
+    # canonical order without a Python-level Word comparison per step; the
+    # Words then replace the tuples in place, so no second list is held
+    rows.sort()
+    for i, letters in enumerate(rows):
+        rows[i] = Word._raw(letters)
+    return rows
 
 
 def enumerate_irreducible(n: int) -> list[Word]:

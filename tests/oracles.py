@@ -3,14 +3,29 @@
 Everything here deliberately avoids the code paths it is meant to check:
 packed words are found by filtering raw words, decompositions by trying
 every candidate right factor, irreducible counts by explicit composition
-sums over the packed-word totals.
+sums over the packed-word totals, coproducts by listing position subsets
+with the public word operations, and antipodes by the right-hand
+recursion, the mirror image of the library's.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import combinations
 from itertools import product as iproduct
 
-from packedwords import Word, enumerate_packed, is_packed, shifted_concat
+from packedwords import (
+    LinComb,
+    Tensor2,
+    Word,
+    enumerate_packed,
+    is_packed,
+    pack,
+    product,
+    quotient,
+    shifted_concat,
+    subword,
+)
 
 
 def brute_packed_words(n: int) -> set[Word]:
@@ -51,3 +66,40 @@ def brute_factorizations(w: Word) -> list[list[Word]]:
         for rest in brute_factorizations(right):
             results.append([left] + rest)
     return results
+
+
+def brute_coproduct(w: Word) -> Tensor2:
+    """Selection/quotient coproduct, one term per set of selected positions.
+
+    For each set I of positions (1-based, from ``combinations``) the term is
+    pack(subword on I) (x) pack(subword on the rest, quotiented by the
+    subword on I).
+    """
+    positions = range(1, len(w) + 1)
+    pairs = Counter()
+    for k in range(len(w) + 1):
+        for chosen in combinations(positions, k):
+            left = subword(w, chosen)
+            right = subword(w, [p for p in positions if p not in chosen])
+            pairs[pack(left), pack(quotient(right, left))] += 1
+    return Tensor2(pairs)
+
+
+def brute_antipode(w: Word, memo: "dict[Word, LinComb] | None" = None) -> LinComb:
+    """Antipode by the right-hand recursion S(w) = -w - sum u * S(v).
+
+    The sum runs over the terms u (x) v of ``brute_coproduct`` with both
+    slots nonempty, multiplied with the public ``product``.  ``memo`` may be
+    shared between calls.
+    """
+    if not len(w):
+        return LinComb.unit()
+    if memo is None:
+        memo = {}
+    if w not in memo:
+        result = LinComb.word(w, -1)
+        for (u, v), c in brute_coproduct(w).terms.items():
+            if len(u) and len(v):
+                result = result - c * product(LinComb.word(u), brute_antipode(v, memo))
+        memo[w] = result
+    return memo[w]

@@ -155,6 +155,13 @@ class TestErrors:
         assert code == 0
         assert out.count("(x)") > 0
 
+    @pytest.mark.parametrize("law", ["coassoc", "bialgebra", "antipode", "factorization"])
+    def test_verify_negative_max_len_exits_2(self, capsys, law):
+        code, out, err = run(capsys, "verify", law, "--max-len", "-1")
+        assert code == 2
+        assert "--max-len" in err
+        assert "ALL PASS" not in out
+
     def test_unknown_verb_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

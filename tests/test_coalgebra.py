@@ -1,15 +1,22 @@
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+import packedwords.coalgebra as coalgebra
+from oracles import brute_antipode, brute_coproduct
 from packedwords import (
     LinComb,
     NotPackedError,
     Tensor2,
+    Word,
     antipode,
     coproduct,
     counit,
     enumerate_packed,
+    pack,
     parse_word,
     product,
     reduced_coproduct,
@@ -30,6 +37,11 @@ def T(*terms):
 
 def words_up_to(max_len):
     return [w for n in range(max_len + 1) for w in enumerate_packed(n)]
+
+
+def seeded_words(seed, n, count):
+    rng = random.Random(seed)
+    return [pack(Word(rng.randint(0, n) for _ in range(n))) for _ in range(count)]
 
 
 class TestTensor2:
@@ -218,3 +230,91 @@ class TestHopfVerifiers:
         assert verify_antipode(W("1,1"))
         for w in words_up_to(2):
             assert verify_antipode(w)
+
+
+class TestAgainstOracles:
+    def test_coproduct_on_all_short_words(self):
+        for w in words_up_to(5):
+            assert coproduct(w) == brute_coproduct(w), w
+
+    def test_coproduct_on_seeded_length_seven_words(self):
+        words = seeded_words(7, 7, 8)
+        assert all(len(w) == 7 for w in words)
+        for w in words:
+            assert coproduct(w) == brute_coproduct(w), w
+
+    def test_antipode_on_all_short_words(self):
+        memo = {}
+        for w in words_up_to(5):
+            assert antipode(w) == brute_antipode(w, memo), w
+
+    def test_antipode_on_seeded_length_six_words(self):
+        memo = {}
+        for w in seeded_words(6, 6, 8):
+            assert antipode(w) == brute_antipode(w, memo), w
+
+
+def _corrupted_delta(word, fault):
+    # the kernel's coproduct, except that on one word one nontrivial term
+    # is lost or its multiplicity is raised by one
+    real = coalgebra._delta
+
+    def delta(letters):
+        terms = real(letters)
+        if letters == word:
+            terms = dict(terms)
+            split = max(k for k in terms if k[0] and k[1])
+            if fault == "lose":
+                del terms[split]
+            else:
+                terms[split] += 1
+        return terms
+
+    return delta
+
+
+def _pairs_up_to(max_len):
+    words = words_up_to(max_len)
+    return [(u, v) for u in words for v in words if len(u) + len(v) <= max_len]
+
+
+class TestVerifierFaults:
+    """Each Hopf verifier must notice a coproduct that is wrong on one word."""
+
+    @pytest.mark.parametrize("fault", ["lose", "multiplicity"])
+    @pytest.mark.parametrize("word", [(1, 1), (1, 2, 1), (0, 1, 1)])
+    def test_every_verifier_fails_on_a_corrupted_coproduct(self, monkeypatch, word, fault):
+        monkeypatch.setattr(coalgebra, "_delta", _corrupted_delta(word, fault))
+        assert not all(verify_coassociativity(w) for w in words_up_to(4))
+        assert not all(verify_bialgebra(u, v) for u, v in _pairs_up_to(4))
+        assert not all(verify_antipode(w) for w in words_up_to(4))
+
+    def test_the_kernel_passes_the_same_checks(self):
+        assert all(verify_coassociativity(w) for w in words_up_to(4))
+        assert all(verify_bialgebra(u, v) for u, v in _pairs_up_to(4))
+        assert all(verify_antipode(w) for w in words_up_to(4))
+
+
+class TestThreads:
+    def test_concurrent_callers_get_identical_results(self):
+        words = words_up_to(4) + seeded_words(4, 6, 4)
+        expected = [(antipode(w), verify_antipode(w)) for w in words]
+        results = []
+
+        def caller():
+            results.append([(antipode(w), verify_antipode(w)) for w in words])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 4
+        for got in results:
+            assert got == expected
