@@ -3,7 +3,9 @@
 ``shifted_concat`` appends the right factor after lifting its nonzero
 letters above the left factor's supremum; packed words are closed under it
 and form a free monoid, so every nonempty packed word factors uniquely into
-irreducible ones.  ``FormalSum`` holds the arithmetic of finite formal sums
+irreducible ones.  The admissible cuts of a word are found in one pass over
+its letters, and the factorization splits at all of them at once.
+``FormalSum`` holds the arithmetic of finite formal sums
 with exact coefficients: integers, since the structure constants are
 integers, and ``Fraction``s only where a non-integer appears.
 ``LinComb`` is the formal sum of packed words and extends the product
@@ -188,96 +190,81 @@ def product(a: Union[LinComb, Word], b: Union[LinComb, Word]) -> LinComb:
     )
 
 
-def _suffix_min_nonzero(letters: Tuple[int, ...]) -> list:
-    # entry i: least nonzero index in letters[i:], or None if there is none
+def _cuts(letters: Tuple[int, ...]) -> list[int]:
+    # admissible cuts of a nonempty packed word's letters, in increasing
+    # order: i is a cut iff every letter before it is below every nonzero
+    # letter after it (for a packed word that makes the prefix packed and the
+    # suffix's least nonzero letter one above the prefix supremum)
     n = len(letters)
-    mins = [None] * (n + 1)
-    running = None
-    for i in range(n - 1, -1, -1):
-        li = letters[i]
-        if li and (running is None or li < running):
-            running = li
-        mins[i] = running
-    return mins
-
-
-def _cut_positions(w: Word) -> Iterable[int]:
-    # yields cut positions in increasing order; caller guarantees w packed, nonempty
-    letters = w.letters
-    n = len(letters)
-    mins = _suffix_min_nonzero(letters)
-    prefix_sup = 0
+    low = [0] * n  # low[i]: least nonzero letter in letters[i:], n + 1 if none
+    m = n + 1
+    for i in range(n - 1, 0, -1):
+        x = letters[i]
+        if x and x < m:
+            m = x
+        low[i] = m
+    cuts = []
+    top = 0
     for i in range(1, n):
-        prefix_sup = max(prefix_sup, letters[i - 1])
-        m = mins[i]
-        if m is None or prefix_sup == m - 1:
-            yield i
+        x = letters[i - 1]
+        if x > top:
+            top = x
+        if top < low[i]:
+            cuts.append(i)
+    return cuts
+
+
+def _nonempty_packed(w: Word, what: str) -> Tuple[int, ...]:
+    require_packed(w)
+    if not w.letters:
+        raise ValueError(f"the empty word {what}")
+    return w.letters
 
 
 def admissible_cuts(w: Word) -> frozenset[int]:
     """Positions i in 1..|w|-1 where w splits as (first i letters) * rest.
 
-    A cut is admissible when the suffix has no nonzero letters, or the
-    suffix's least nonzero index exceeds the prefix supremum by exactly one.
+    A cut is admissible when every letter before it is below every nonzero
+    letter after it; all cuts are found in one pass over the word.
     """
-    require_packed(w)
-    if not len(w):
-        raise ValueError("the empty word has no cut positions")
-    return frozenset(_cut_positions(w))
+    return frozenset(_cuts(_nonempty_packed(w, "has no cut positions")))
 
 
 def is_irreducible(w: Word) -> bool:
     """True iff the nonempty packed word admits no split into two factors."""
-    require_packed(w)
-    if not len(w):
-        raise ValueError("the empty word is neither irreducible nor reducible")
-    return next(iter(_cut_positions(w)), None) is None
-
-
-def _split_at(w: Word, i: int) -> Tuple[Word, Word]:
-    # split a packed word at an admissible cut; the suffix is shifted back down
-    head = Word._raw(w.letters[:i])
-    s = head.sup
-    tail = Word._raw(tuple(j - s if j else 0 for j in w.letters[i:]))
-    return head, tail
+    return not _cuts(_nonempty_packed(w, "is neither irreducible nor reducible"))
 
 
 def factor_irreducible(w: Word) -> list[Word]:
     """Unique factorization of a nonempty packed word into irreducibles.
 
-    Splits greedily at the leftmost admissible cut; by uniqueness of the
-    factorization any cut order gives the same result.
+    A cut of a tail is a cut of the whole word, so the word is split at all
+    of its cuts at once; each piece is shifted down by the supremum of the
+    letters before it.
     """
-    require_packed(w)
-    if not len(w):
-        raise ValueError("the empty word has no irreducible factorization")
+    letters = _nonempty_packed(w, "has no irreducible factorization")
     factors = []
-    cur = w
-    while True:
-        i = next(iter(_cut_positions(cur)), None)
-        if i is None:
-            factors.append(cur)
-            return factors
-        head, cur = _split_at(cur, i)
-        factors.append(head)
+    start = top = 0
+    for i in _cuts(letters) + [len(letters)]:
+        piece = letters[start:i]
+        factors.append(Word._raw(_lift(piece, -top)))
+        top = max(top, *piece)
+        start = i
+    return factors
 
 
 def _factor_rightmost(w: Word) -> list[Word]:
-    # same factorization computed by peeling irreducible factors off the right;
-    # used as an internal cross-check of uniqueness
-    require_packed(w)
-    if not len(w):
-        raise ValueError("the empty word has no irreducible factorization")
+    # same factorization computed by peeling irreducible factors off the right,
+    # one rightmost cut of the shrinking head at a time; used as an internal
+    # cross-check of uniqueness
+    head = _nonempty_packed(w, "has no irreducible factorization")
     factors = []
-    cur = w
     while True:
-        i = None
-        for j in _cut_positions(cur):
-            i = j
-        if i is None:
-            factors.append(cur)
+        cuts = _cuts(head)
+        if not cuts:
+            factors.append(Word._raw(head))
             factors.reverse()
             return factors
-        head, tail = _split_at(cur, i)
-        factors.append(tail)
-        cur = head
+        i = cuts[-1]
+        factors.append(Word._raw(_lift(head[i:], -max(head[:i]))))
+        head = head[:i]

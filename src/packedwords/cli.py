@@ -13,12 +13,7 @@ import argparse
 import sys
 from typing import Iterable
 
-from .algebra import (
-    _factor_rightmost,
-    factor_irreducible,
-    is_irreducible,
-    shifted_concat,
-)
+from .algebra import _cuts, _factor_rightmost, _lift, factor_irreducible, is_irreducible, shifted_concat
 from .coalgebra import antipode, coproduct, verify_antipode, verify_bialgebra, verify_coassociativity
 from .enumeration import (
     count_irreducible,
@@ -167,14 +162,15 @@ def _verify_factorization(max_len: int) -> bool:
             continue
         bad = None
         for w in words:
+            # round trip, irreducible factors and left greedy = right greedy,
+            # checked on letter tuples
             factors = factor_irreducible(w)
-            rebuilt = factors[0]
-            for f in factors[1:]:
-                rebuilt = shifted_concat(rebuilt, f)
-            if rebuilt != w or not all(is_irreducible(f) for f in factors):
-                bad = w
-                break
-            if factors != _factor_rightmost(w):
+            rebuilt, top = (), 0
+            for f in factors:
+                piece = _lift(f.letters, top)
+                rebuilt += piece
+                top = max(top, *piece)
+            if rebuilt != w.letters or any(_cuts(f.letters) for f in factors) or factors != _factor_rightmost(w):
                 bad = w
                 break
         if bad is not None:

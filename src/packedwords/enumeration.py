@@ -6,14 +6,15 @@ giving d(n,k) = S(n,k)k! + S(n,k+1)(k+1)! = S(n+1,k+1)k! in terms of
 Stirling numbers of the second kind.  Totals per length follow the
 exponential generating function e^x/(2-e^x), and the irreducible counts
 come out of the free-monoid structure, either as an inclusion-exclusion
-over compositions or by an integer recurrence.  Everything is exact: integer
-counts are arbitrary precision and series coefficients are rationals.
+over compositions or by an integer recurrence.  The words themselves are
+generated depth first in canonical order, pruned so that every prefix
+extends to a packed word.  Everything is exact: integer counts are
+arbitrary precision and series coefficients are rationals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
 from math import factorial
 from typing import Iterator, Sequence, Tuple, Union
 
@@ -78,50 +79,48 @@ def count_packed_total(n: int) -> int:
     return sum(count_packed(n, k) for k in range(n + 1))
 
 
-def _set_partitions(items: Tuple[int, ...], k: int) -> Iterator[Tuple[Tuple[int, ...], ...]]:
-    # partitions of items into exactly k nonempty blocks, blocks as tuples
-    if k == 0:
-        if not items:
-            yield ()
-        return
-    if k > len(items):
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest, k - 1):
-        yield ((first,),) + part
-    for part in _set_partitions(rest, k):
-        for b in range(len(part)):
-            yield part[:b] + ((first,) + part[b],) + part[b + 1 :]
+def _packed_letters(n: int) -> Iterator[Tuple[int, ...]]:
+    # letter tuples of all packed words of length n in lexicographic order,
+    # depth first: at each position the letters are tried in increasing
+    # order, and a letter is allowed only if the letters still missing below
+    # the running maximum fit into the positions left after it
+    def extend(prefix: Tuple[int, ...], top: int, seen: int, missing: int, left: int):
+        # seen: bit x set iff letter x occurs in prefix; missing: letters
+        # 1..top absent from prefix; left: positions still to fill, >= 1
+        if missing == left:
+            xs = [x for x in range(1, top + 1) if not seen >> x & 1]
+        else:
+            xs = range(top + left - missing + 1)
+        if left == 1:
+            for x in xs:
+                yield prefix + (x,)
+            return
+        for x in xs:
+            if x > top:
+                yield from extend(prefix + (x,), x, seen | 1 << x, missing + x - top - 1, left - 1)
+            elif not x or seen >> x & 1:
+                yield from extend(prefix + (x,), top, seen, missing, left - 1)
+            else:
+                yield from extend(prefix + (x,), top, seen | 1 << x, missing - 1, left - 1)
+
+    if n == 0:
+        return iter([()])
+    return extend((), 0, 0, 0, n)
 
 
 def enumerate_packed(n: int) -> list[Word]:
     """All packed words of length n, canonically ordered.
 
-    Words are built directly: pick the x0 positions, partition the rest
-    into k nonempty blocks, and order the blocks as the letters 1..k.  This
-    produces each word exactly once, so the count is d_n by construction.
+    Words are generated depth first, letter by letter in increasing order,
+    so they come out in canonical order with no sort.  A letter is allowed
+    only if the letters still missing below the running maximum fit into
+    the positions left; every prefix generated therefore extends to a
+    packed word, and each packed word comes out exactly once (the
+    restricted-growth-string search of Knuth, TAOCP 4A, 7.2.1.5).
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    rows = [(0,) * n]
-    positions = tuple(range(n))
-    for k in range(1, n + 1):
-        for m in range(k, n + 1):
-            for support in combinations(positions, m):
-                for blocks in _set_partitions(support, k):
-                    for order in permutations(range(1, k + 1)):
-                        letters = [0] * n
-                        for letter, block in zip(order, blocks):
-                            for p in block:
-                                letters[p] = letter
-                        rows.append(tuple(letters))
-    # all rows have length n, so sorting the letter tuples gives the
-    # canonical order without a Python-level Word comparison per step; the
-    # Words then replace the tuples in place, so no second list is held
-    rows.sort()
-    for i, letters in enumerate(rows):
-        rows[i] = Word._raw(letters)
-    return rows
+    return list(map(Word._raw, _packed_letters(n)))
 
 
 def enumerate_irreducible(n: int) -> list[Word]:

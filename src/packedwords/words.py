@@ -10,7 +10,9 @@ on.  All values here are immutable and all functions are pure.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from functools import lru_cache, total_ordering
+from operator import lt
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -166,7 +168,8 @@ def pack(w: Word) -> Word:
 
 def is_packed(w: Word) -> bool:
     """True iff pack(w) = w, i.e. the nonzero indices are exactly 1..k."""
-    nonzero = {i for i in w.letters if i}
+    nonzero = set(w.letters)
+    nonzero.discard(0)
     return not nonzero or max(nonzero) == len(nonzero)
 
 
@@ -187,12 +190,15 @@ def shift(t: int, w: Word) -> Word:
 
 def subword(w: Word, positions: Iterable[int]) -> Word:
     """Letters at the given 1-based positions, in increasing position order."""
-    pos = sorted(set(positions))
-    n = len(w.letters)
-    for p in pos:
-        if not 1 <= p <= n:
-            raise IndexError(f"position {p} outside 1..{n}")
-    return Word._raw(tuple(w.letters[p - 1] for p in pos))
+    pos = list(positions)
+    if not all(map(lt, pos, pos[1:])):
+        pos = sorted(set(pos))
+    letters = w.letters
+    n = len(letters)
+    if pos and (pos[0] < 1 or pos[-1] > n):
+        p = pos[0] if pos[0] < 1 else pos[bisect_right(pos, n)]
+        raise IndexError(f"position {p} outside 1..{n}")
+    return Word._raw(tuple([letters[p - 1] for p in pos]))
 
 
 def quotient(w: Word, erase: "Word | Iterable[int]") -> Word:
@@ -200,7 +206,5 @@ def quotient(w: Word, erase: "Word | Iterable[int]") -> Word:
 
     Quotienting by a word means erasing that word's alphabet.
     """
-    if isinstance(erase, Word):
-        erase = erase.ialph()
-    kill = set(erase)
-    return Word._raw(tuple(0 if i in kill else i for i in w.letters))
+    kill = set(erase.letters if isinstance(erase, Word) else erase)
+    return Word._raw(tuple([0 if i in kill else i for i in w.letters]))

@@ -1,17 +1,18 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here deliberately avoids the code paths it is meant to check:
-packed words are found by filtering raw words, decompositions by trying
-every candidate right factor, irreducible counts by explicit composition
-sums over the packed-word totals, coproducts by listing position subsets
-with the public word operations, and antipodes by the right-hand
-recursion, the mirror image of the library's.
+packed words are found by filtering raw words or by ordering the blocks of
+set partitions, decompositions by trying every candidate right factor or
+by multiplying out every pair of factors, irreducible counts by explicit
+composition sums over the packed-word totals, coproducts by listing
+position subsets with the public word operations, and antipodes by the
+right-hand recursion, the mirror image of the library's.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 from itertools import product as iproduct
 
 from packedwords import (
@@ -33,6 +34,44 @@ def brute_packed_words(n: int) -> set[Word]:
     return {w for w in (Word(ls) for ls in iproduct(range(n + 1), repeat=n)) if is_packed(w)}
 
 
+def _set_partitions(items: tuple[int, ...], k: int):
+    # partitions of items into exactly k nonempty blocks, blocks as tuples
+    if k == 0:
+        if not items:
+            yield ()
+        return
+    if k > len(items):
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest, k - 1):
+        yield ((first,),) + part
+    for part in _set_partitions(rest, k):
+        for b in range(len(part)):
+            yield part[:b] + ((first,) + part[b],) + part[b + 1 :]
+
+
+def partition_packed_words(n: int) -> list[Word]:
+    """All packed words of length n, canonically ordered, from set partitions.
+
+    Pick the x0 positions, partition the rest into k nonempty blocks, order
+    the blocks as the letters 1..k, then sort.
+    """
+    rows = [(0,) * n]
+    positions = tuple(range(n))
+    for k in range(1, n + 1):
+        for m in range(k, n + 1):
+            for support in combinations(positions, m):
+                for blocks in _set_partitions(support, k):
+                    for order in permutations(range(1, k + 1)):
+                        letters = [0] * n
+                        for letter, block in zip(order, blocks):
+                            for p in block:
+                                letters[p] = letter
+                        rows.append(tuple(letters))
+    rows.sort()
+    return [Word(letters) for letters in rows]
+
+
 def brute_decompositions(w: Word) -> list[tuple[Word, Word]]:
     """Every way to write w as a product of two nonempty packed words.
 
@@ -49,6 +88,22 @@ def brute_decompositions(w: Word) -> list[tuple[Word, Word]]:
             if shifted_concat(left, right) == w:
                 out.append((left, right))
     return out
+
+
+def brute_cut_table(n: int) -> dict[Word, set[int]]:
+    """Cut positions of every packed word of length n, by multiplying out.
+
+    Every pair of nonempty packed words (from ``brute_packed_words``) whose
+    lengths add up to n is multiplied, and the left factor's length is
+    recorded as a cut of the product; no cut or infimum logic is involved.
+    """
+    table = {w: set() for w in brute_packed_words(n)}
+    words = [brute_packed_words(j) for j in range(n)]
+    for j in range(1, n):
+        for left in words[j]:
+            for right in words[n - j]:
+                table[shifted_concat(left, right)].add(j)
+    return table
 
 
 def brute_is_irreducible(w: Word) -> bool:

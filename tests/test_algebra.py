@@ -1,15 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_decompositions, brute_is_irreducible
+from oracles import brute_cut_table, brute_decompositions, brute_is_irreducible
 from packedwords import (
     LinComb,
     NotPackedError,
     admissible_cuts,
     enumerate_packed,
     factor_irreducible,
+    Word,
     is_irreducible,
+    pack,
     parse_word,
     product,
     shifted_concat,
@@ -142,6 +146,11 @@ class TestAdmissibleCuts:
             for w in enumerate_packed(n):
                 expected = {len(a) for a, _ in brute_decompositions(w)}
                 assert admissible_cuts(w) == expected, w
+        for n in range(1, 7):
+            table = brute_cut_table(n)
+            assert len(table) == len(enumerate_packed(n))
+            for w in enumerate_packed(n):
+                assert admissible_cuts(w) == table[w], w
 
 
 class TestIrreducible:
@@ -185,6 +194,39 @@ class TestFactorization:
                 assert rebuilt == w
 
     def test_left_and_right_greedy_agree(self):
-        for n in range(1, 5):
+        for n in range(1, 8):
             for w in enumerate_packed(n):
                 assert factor_irreducible(w) == _factor_rightmost(w)
+
+
+# packed words of length 8-14, beyond the exhaustive sweeps: pack of random
+# letters over an alphabet of random size, so both words with many cuts
+# (small alphabets, many x0) and words with few occur
+long_packed_words = st.integers(1, 14).flatmap(
+    lambda k: st.lists(st.integers(0, k), min_size=8, max_size=14).map(lambda ls: pack(Word(ls)))
+)
+
+
+class TestLongWordSweep:
+    @settings(
+        derandomize=True, max_examples=1200, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(long_packed_words)
+    def test_cuts_factorization_and_greedy_orders(self, w):
+        # a cut by the definition: the prefix is packed and multiplying it
+        # with the packed suffix gives back the word
+        letters = w.letters
+        expected = set()
+        for i in range(1, len(letters)):
+            head = Word(letters[:i])
+            if pack(head) == head and shifted_concat(head, pack(Word(letters[i:]))) == w:
+                expected.add(i)
+        assert admissible_cuts(w) == expected
+
+        factors = factor_irreducible(w)
+        assert all(is_irreducible(f) for f in factors)
+        rebuilt = factors[0]
+        for f in factors[1:]:
+            rebuilt = shifted_concat(rebuilt, f)
+        assert rebuilt == w
+        assert factors == _factor_rightmost(w)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from packedwords import count_packed, count_packed_total, enumerate_packed, parse_word
+from packedwords import algebra, cli, count_packed, count_packed_total, enumerate_packed, parse_word
 from packedwords.cli import main
 
 
@@ -99,6 +99,42 @@ class TestVerify:
         assert code == 0
         assert out.splitlines()[-1] == "ALL PASS"
         assert all(line.startswith("PASS") for line in out.splitlines()[:-1])
+
+
+def _fault_on(real, letters, wrong):
+    # `real` everywhere except where its first argument has these letters
+    def faulty(*args):
+        arg = getattr(args[0], "letters", args[0])
+        return wrong(real, *args) if arg == letters else real(*args)
+
+    return faulty
+
+
+class TestFactorizationFaults:
+    """Each check of `verify factorization` catches a fault on one input."""
+
+    @pytest.mark.parametrize(
+        "owner,name,letters,wrong,first_fail",
+        [
+            # spurious cut 1,2,1 = 1 * 1,0: the round trip gives 1,2,0
+            (algebra, "_cuts", (1, 2, 1), lambda real, ls: [1], "length=3: 1,2,1"),
+            # spurious cut 1,2,1 = 1,2 * (-1): the round trip holds, but the
+            # factor 1,2 is reducible
+            (algebra, "_cuts", (1, 2, 1), lambda real, ls: [2], "length=3: 1,2,1"),
+            # a split piece 2 is not shifted down: 1,2 = 1 * 2 rebuilds as 1,3
+            (algebra, "_lift", (2,), lambda real, ls, t: ls if t < 0 else real(ls, t), "length=2: 1,2"),
+            # right-greedy peeling that disagrees with the left one on 0,1
+            (cli, "_factor_rightmost", (0, 1), lambda real, w: real(w)[::-1], "length=2: 0,1"),
+        ],
+        ids=["spurious-cut-round-trip", "spurious-cut-reducible-factor", "wrong-shift-down", "greedy-orders-differ"],
+    )
+    def test_fault_fails_the_law(self, capsys, monkeypatch, owner, name, letters, wrong, first_fail):
+        monkeypatch.setattr(owner, name, _fault_on(getattr(owner, name), letters, wrong))
+        code, out, _ = run(capsys, "verify", "factorization", "--max-len", "4")
+        lines = out.splitlines()
+        assert code == 1
+        assert [line for line in lines if line.startswith("FAIL")][0] == f"FAIL factorization {first_fail}"
+        assert lines[-1] == "FAILURES FOUND"
 
 
 class TestPrimitivesVerb:

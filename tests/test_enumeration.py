@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from oracles import brute_packed_words
+from oracles import brute_packed_words, partition_packed_words
 from packedwords import enumeration
 from packedwords import (
     RationalSeries,
@@ -147,6 +147,11 @@ class TestEnumeration:
     def test_matches_brute_force(self):
         for n in range(6):
             assert set(enumerate_packed(n)) == brute_packed_words(n)
+
+    def test_matches_set_partition_construction(self):
+        # same words in the same order as the sorted set-partition construction
+        for n in range(8):
+            assert enumerate_packed(n) == partition_packed_words(n), n
 
     def test_canonical_order_no_duplicates(self):
         for n in range(6):

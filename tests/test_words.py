@@ -150,6 +150,19 @@ class TestSubword:
         with pytest.raises(IndexError):
             subword(W("1,2"), {3})
 
+    def test_any_order_and_repeats_give_the_sorted_selection(self):
+        w = W("3,1,2,0")
+        for k in range(6):
+            for seq in iproduct(range(1, 5), repeat=k):
+                expected = Word(w.letters[p - 1] for p in sorted(set(seq)))
+                assert subword(w, list(seq)) == expected, seq
+                assert subword(w, iter(seq)) == expected, seq
+
+    def test_error_names_the_least_bad_position(self):
+        for positions, bad in [([5, 1, 4], 4), ([1, 4, 5], 4), ([5, 0], 0), ([2, 0, 9], 0)]:
+            with pytest.raises(IndexError, match=f"position {bad} outside 1..3"):
+                subword(W("1,2,1"), positions)
+
 
 class TestQuotient:
     def test_erases_to_zero(self):
@@ -164,3 +177,6 @@ class TestQuotient:
 
     def test_by_word_uses_its_alphabet(self):
         assert quotient(W("1,2,3"), W("1,3")) == W("0,2,0")
+        for u in all_words(3, 3):
+            for v in all_words(2, 3):
+                assert quotient(u, v) == Word(0 if i in v.letters else i for i in u.letters), (u, v)
