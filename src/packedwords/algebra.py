@@ -5,11 +5,10 @@ letters above the left factor's supremum; packed words are closed under it
 and form a free monoid, so every nonempty packed word factors uniquely into
 irreducible ones.  The admissible cuts of a word are found in one pass over
 its letters, and the factorization splits at all of them at once.
-``FormalSum`` holds the arithmetic of finite formal sums
-with exact coefficients: integers, since the structure constants are
-integers, and ``Fraction``s only where a non-integer appears.
-``LinComb`` is the formal sum of packed words and extends the product
-bilinearly.
+``FormalSum`` holds the arithmetic of finite formal sums with exact
+coefficients: integers, since the structure constants are integers, and
+``Fraction``s only where a non-integer appears.  ``LinComb`` is the formal
+sum of packed words and extends the product bilinearly.
 """
 
 from __future__ import annotations

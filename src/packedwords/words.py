@@ -10,7 +10,6 @@ on.  All values here are immutable and all functions are pure.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from functools import lru_cache, total_ordering
 from operator import lt
 from typing import Iterable, Iterator, Mapping
@@ -196,7 +195,7 @@ def subword(w: Word, positions: Iterable[int]) -> Word:
     letters = w.letters
     n = len(letters)
     if pos and (pos[0] < 1 or pos[-1] > n):
-        p = pos[0] if pos[0] < 1 else pos[bisect_right(pos, n)]
+        p = next(p for p in pos if not 1 <= p <= n)
         raise IndexError(f"position {p} outside 1..{n}")
     return Word._raw(tuple([letters[p - 1] for p in pos]))
 

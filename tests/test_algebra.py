@@ -8,10 +8,10 @@ from oracles import brute_cut_table, brute_decompositions, brute_is_irreducible
 from packedwords import (
     LinComb,
     NotPackedError,
+    Word,
     admissible_cuts,
     enumerate_packed,
     factor_irreducible,
-    Word,
     is_irreducible,
     pack,
     parse_word,
