@@ -28,7 +28,6 @@ from .words import (
 from .algebra import (
     FormalSum,
     LinComb,
-    Scalar,
     admissible_cuts,
     factor_irreducible,
     is_irreducible,
@@ -82,7 +81,6 @@ __all__ = [
     "shift",
     "subword",
     "quotient",
-    "Scalar",
     "FormalSum",
     "LinComb",
     "shifted_concat",

@@ -20,7 +20,6 @@ from typing import Hashable, Iterable, Mapping, Tuple, Union
 from .words import Word, require_packed
 
 __all__ = [
-    "Scalar",
     "FormalSum",
     "LinComb",
     "shifted_concat",
@@ -29,11 +28,6 @@ __all__ = [
     "is_irreducible",
     "factor_irreducible",
 ]
-
-# Exact rational scalars; arbitrary precision, always in lowest terms.
-# Coefficients that are plain ints stay ints.
-Scalar = Fraction
-
 
 def _scalar(c: object) -> Union[int, Fraction]:
     # ints stay ints; everything else (Fraction, float, str, bool) is made exact

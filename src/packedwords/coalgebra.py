@@ -28,7 +28,7 @@ from itertools import compress
 from itertools import product as cartesian_product
 from typing import Tuple, Union
 
-from .algebra import FormalSum, LinComb, _as_lincomb, _collect, _lift, shifted_concat
+from .algebra import FormalSum, LinComb, _as_lincomb, _collect, _lift
 from .algebra import product  # noqa: F401  kept importable here: perfbench/tracer.py wraps coalgebra.product
 from .words import Word, _pack_letters, require_packed
 
@@ -49,11 +49,7 @@ Split = Tuple[Letters, Letters]
 
 
 class Tensor2(FormalSum):
-    """Formal sum of ordered word pairs, e.g. "1*e (x) 1,1 + 2*1 (x) 0".
-
-    Multiplication acts slotwise by shifted concatenation, extended
-    bilinearly.
-    """
+    """Formal sum of ordered word pairs, e.g. "1*e (x) 1,1 + 2*1 (x) 0"."""
 
     __slots__ = ()
 
@@ -66,21 +62,6 @@ class Tensor2(FormalSum):
     def _key_text(pair: Pair) -> str:
         u, v = pair
         return f"{u.text()} (x) {v.text()}"
-
-    def __mul__(self, other: object) -> "Tensor2":
-        if not isinstance(other, Tensor2):
-            return self.__rmul__(other)
-        return Tensor2._raw(
-            _collect(
-                ((shifted_concat(u1, u2), shifted_concat(v1, v2)), c1 * c2)
-                for (u1, v1), c1 in self.terms.items()
-                for (u2, v2), c2 in other.terms.items()
-            )
-        )
-
-    def swap(self) -> "Tensor2":
-        """Exchange the two slots of every term."""
-        return Tensor2._raw({(v, u): c for (u, v), c in self.terms.items()})
 
 
 def _delta(letters: Letters) -> dict[Split, int]:

@@ -47,15 +47,16 @@ def stirling2(n: int, k: int) -> int:
         raise ValueError(f"need n, k >= 0, got ({n}, {k})")
     if k > n:
         return 0
+    global _STIRLING_ROWS
     rows = _STIRLING_ROWS
-    while len(rows) <= n:
-        m = len(rows)
-        prev = rows[-1]
-        row = [0] * (m + 1)
-        row[m] = 1
-        for j in range(1, m):
-            row[j] = prev[j - 1] + j * prev[j]
-        rows.append(row)
+    if n >= len(rows):
+        # build the longer list first and publish it in one assignment, so a
+        # concurrent caller only ever sees a complete table
+        rows = list(rows)
+        for m in range(len(rows), n + 1):
+            prev = rows[-1]
+            rows.append([0] + [prev[j - 1] + j * prev[j] for j in range(1, m)] + [1])
+        _STIRLING_ROWS = rows
     return rows[n][k]
 
 
@@ -133,8 +134,8 @@ def enumerate_irreducible(n: int) -> list[Word]:
 class RationalSeries:
     """Power series truncated at a fixed order with exact rational coefficients.
 
-    All arithmetic (sum, product, reciprocal, derivative) is exact at the
-    truncation order; binary operations truncate to the smaller order.
+    All arithmetic (sum, product, reciprocal) is exact at the truncation
+    order; binary operations truncate to the smaller order.
     """
 
     __slots__ = ("coeffs",)
@@ -217,12 +218,6 @@ class RationalSeries:
             s = sum((self.coeffs[j] * out[m - j] for j in range(1, m + 1)), _ZERO)
             out.append(-s / a0)
         return RationalSeries(out)
-
-    def derivative(self) -> "RationalSeries":
-        """Termwise derivative; exact one order below the truncation."""
-        if self.order == 0:
-            raise ValueError("cannot differentiate a series truncated at order 0")
-        return RationalSeries([m * self.coeffs[m] for m in range(1, self.order + 1)])
 
     def _coerce(self, other: object) -> "RationalSeries":
         if isinstance(other, RationalSeries):

@@ -53,46 +53,6 @@ class ResourceLimitError(RuntimeError):
     """A computation was refused because it exceeds a configured size cap."""
 
 
-def _rref(rows: list[dict[int, Fraction]], ncols: int) -> Tuple[list[int], list[dict[int, Fraction]]]:
-    # slow reference for the elimination below: in-place reduced row echelon
-    # form over sparse rational rows, where the pivot for each column is the
-    # first row with a nonzero entry there
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r].get(col):
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        lead = prow[col]
-        if lead != 1:
-            prow = {c: Fraction(v) / lead for c, v in prow.items()}
-            rows[rank] = prow
-        for r in range(len(rows)):
-            if r == rank:
-                continue
-            f = rows[r].get(col)
-            if not f:
-                continue
-            row = rows[r]
-            for c, v in prow.items():
-                nv = row.get(c, _ZERO) - f * v
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
-        pivots.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    return pivots, rows[:rank]
-
-
 def _cancel(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:
     # a*row - b*prow with the smallest integers a, b that clear col,
     # divided by the gcd of its entries, so the integers stay small
@@ -176,9 +136,6 @@ class RationalMatrix:
     @property
     def n_cols(self) -> int:
         return len(self.col_labels)
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i].get(j, _ZERO)
 
     def rank(self) -> int:
         return len(_eliminate(self.rows, self.n_cols))

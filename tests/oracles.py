@@ -5,15 +5,21 @@ packed words are found by filtering raw words or by ordering the blocks of
 set partitions, decompositions by trying every candidate right factor or
 by multiplying out every pair of factors, irreducible counts by explicit
 composition sums over the packed-word totals, coproducts by listing
-position subsets with the public word operations, and antipodes by the
-right-hand recursion, the mirror image of the library's.
+position subsets with the public word operations, antipodes by the
+right-hand recursion, the mirror image of the library's, and reduced row
+echelon forms by textbook Gauss-Jordan elimination.  ``packed_words`` and
+``sweep`` set up the hypothesis sweeps.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, permutations
 from itertools import product as iproduct
+
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from packedwords import (
     LinComb,
@@ -27,6 +33,32 @@ from packedwords import (
     shifted_concat,
     subword,
 )
+
+
+def sweep(max_examples: int) -> settings:
+    """Hypothesis settings for a sweep of max_examples examples.
+
+    Derandomized, so every run draws the same examples, with no example
+    database and no per-example deadline.
+    """
+    return settings(
+        derandomize=True,
+        max_examples=max_examples,
+        deadline=None,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+
+
+def packed_words(min_len: int, max_len: int) -> st.SearchStrategy:
+    """Hypothesis strategy: pack of min_len..max_len random letters.
+
+    The letters are drawn over an alphabet of random size, so both words
+    with many cuts (small alphabets, many x0) and words with few occur.
+    """
+    return st.integers(1, max_len).flatmap(
+        lambda k: st.lists(st.integers(0, k), min_size=min_len, max_size=max_len).map(lambda ls: pack(Word(ls)))
+    )
 
 
 def brute_packed_words(n: int) -> set[Word]:
@@ -158,3 +190,45 @@ def brute_antipode(w: Word, memo: "dict[Word, LinComb] | None" = None) -> LinCom
                 result = result - c * product(LinComb.word(u), brute_antipode(v, memo))
         memo[w] = result
     return memo[w]
+
+
+def _rref(rows: list[dict[int, Fraction]], ncols: int) -> tuple[list[int], list[dict[int, Fraction]]]:
+    # slow reference for the library's one-pass sparse elimination
+    # (packedwords.primitives._eliminate): in-place reduced row echelon form
+    # over sparse rational rows, where the pivot for each column is the first
+    # row with a nonzero entry there; returns the pivot columns and the
+    # nonzero rows
+    pivots: list[int] = []
+    rank = 0
+    for col in range(ncols):
+        piv = None
+        for r in range(rank, len(rows)):
+            if rows[r].get(col):
+                piv = r
+                break
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        prow = rows[rank]
+        lead = prow[col]
+        if lead != 1:
+            prow = {c: Fraction(v) / lead for c, v in prow.items()}
+            rows[rank] = prow
+        for r in range(len(rows)):
+            if r == rank:
+                continue
+            f = rows[r].get(col)
+            if not f:
+                continue
+            row = rows[r]
+            for c, v in prow.items():
+                nv = row.get(c, 0) - f * v
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c, None)
+        pivots.append(col)
+        rank += 1
+        if rank == len(rows):
+            break
+    return pivots, rows[:rank]

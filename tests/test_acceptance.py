@@ -11,7 +11,7 @@ from collections import Counter
 from itertools import combinations
 from itertools import product as iproduct
 
-from oracles import brute_factorizations
+from oracles import _rref, brute_factorizations
 from packedwords import (
     LinComb,
     Tensor2,
@@ -234,8 +234,6 @@ def test_criterion_09_primitive_spaces():
 def _same_span(vectors_a, vectors_b, basis_words):
     # exact span comparison via the canonical reduced echelon form
     def rref_rows(vectors):
-        from packedwords.primitives import _rref
-
         rows = [
             {j: v.coefficient(w) for j, w in enumerate(basis_words) if v.coefficient(w)}
             for v in vectors

@@ -1,10 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
+from hypothesis import given
 
-from oracles import brute_cut_table, brute_decompositions, brute_is_irreducible
+from oracles import brute_cut_table, brute_decompositions, brute_is_irreducible, packed_words, sweep
 from packedwords import (
     LinComb,
     NotPackedError,
@@ -199,19 +198,9 @@ class TestFactorization:
                 assert factor_irreducible(w) == _factor_rightmost(w)
 
 
-# packed words of length 8-14, beyond the exhaustive sweeps: pack of random
-# letters over an alphabet of random size, so both words with many cuts
-# (small alphabets, many x0) and words with few occur
-long_packed_words = st.integers(1, 14).flatmap(
-    lambda k: st.lists(st.integers(0, k), min_size=8, max_size=14).map(lambda ls: pack(Word(ls)))
-)
-
-
 class TestLongWordSweep:
-    @settings(
-        derandomize=True, max_examples=1200, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow]
-    )
-    @given(long_packed_words)
+    @sweep(1200)
+    @given(packed_words(8, 14))  # beyond the exhaustive sweeps
     def test_cuts_factorization_and_greedy_orders(self, w):
         # a cut by the definition: the prefix is packed and multiplying it
         # with the packed suffix gives back the word

@@ -198,6 +198,21 @@ class TestErrors:
         assert "--max-len" in err
         assert "ALL PASS" not in out
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["coproduct", "e", "--max-len", "-1"], "--max-len"),
+            (["primitives", "--n", "1", "--grade-cap", "-1"], "--grade-cap"),
+            (["enumerate", "3", "--sup", "-1"], "--sup"),
+        ],
+        ids=["coproduct-max-len", "primitives-grade-cap", "enumerate-sup"],
+    )
+    def test_negative_bound_exits_2(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert flag in err
+        assert out == ""
+
     def test_unknown_verb_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -29,6 +29,41 @@ def W(text):
     return parse_word(text)
 
 
+def climb_together(monkeypatch, table, cold, call, cases, rounds):
+    """Faults seen when four threads each check call(n) == want for every case.
+
+    Each round resets the module-level memo ``table`` of ``enumeration`` to
+    ``cold`` first, so the threads grow it together, with a 1 us switch
+    interval.
+    """
+    faults = []
+
+    def caller():
+        for n, want in cases:
+            try:
+                got = call(n)
+            except Exception as exc:
+                faults.append((n, repr(exc)))
+            else:
+                if got != want:
+                    faults.append((n, got))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(rounds):
+            monkeypatch.setattr(enumeration, table, cold)
+            threads = [threading.Thread(target=caller) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    return faults
+
+
 class TestStirling:
     def test_diagonal_and_edge(self):
         for n in range(9):
@@ -48,6 +83,14 @@ class TestStirling:
         for n in range(1, 12):
             for k in range(1, n + 1):
                 assert stirling2(n + 1, k) == stirling2(n, k - 1) + k * stirling2(n, k)
+
+    def test_concurrent_cold_callers_see_exact_values(self, monkeypatch):
+        # regression: the shared table was grown in place, so cold concurrent
+        # callers could append the same row twice and then raise IndexError
+        # or read a row from the wrong place
+        cases = [(n, count_packed_total(n)) for n in range(40)]
+        faults = climb_together(monkeypatch, "_STIRLING_ROWS", [[1]], count_packed_total, cases, rounds=30)
+        assert not faults, faults[:5]
 
     def test_exceeds_machine_words(self):
         # S(21, k) values overflow 64 bits; stays exact
@@ -110,31 +153,8 @@ class TestIrreducibleCounts:
         expected = [0]
         for n in range(1, top + 1):
             expected.append(d[n] - sum(expected[j] * d[n - j] for j in range(1, n)))
-        faults = []
-
-        def caller():
-            for n in range(1, top + 1):
-                try:
-                    got = count_irreducible(n)
-                except Exception as exc:
-                    faults.append((n, repr(exc)))
-                else:
-                    if got != expected[n]:
-                        faults.append((n, got))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(10):
-                monkeypatch.setattr(enumeration, "_irreducible_cache", [0])
-                threads = [threading.Thread(target=caller) for _ in range(4)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=60)
-                assert not any(t.is_alive() for t in threads)
-        finally:
-            sys.setswitchinterval(interval)
+        cases = [(n, expected[n]) for n in range(1, top + 1)]
+        faults = climb_together(monkeypatch, "_irreducible_cache", [0], count_irreducible, cases, rounds=10)
         assert not faults, faults[:5]
 
 
@@ -200,20 +220,6 @@ class TestRationalSeries:
     def test_reciprocal_needs_constant_term(self):
         with pytest.raises(ZeroDivisionError):
             RationalSeries([0, 1]).reciprocal()
-
-    def test_derivative(self):
-        s = RationalSeries([5, 1, Fraction(1, 2), Fraction(1, 6)])
-        assert s.derivative() == RationalSeries([1, 1, Fraction(1, 2)])
-
-    def test_derivative_of_reciprocal_series(self):
-        # d/dx (2 - e^x)^(-1) = e^x (2 - e^x)^(-2), exactly, termwise
-        order = 12
-        e = RationalSeries.exponential(order)
-        g = (2 - e).reciprocal()
-        lhs = g.derivative()
-        rhs = e * g * g
-        for m in range(order):
-            assert lhs.coefficient(m) == rhs.coefficient(m)
 
     def test_coefficient_outside_order_rejected(self):
         with pytest.raises(ValueError):
