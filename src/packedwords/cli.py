@@ -14,7 +14,7 @@ import sys
 from typing import Callable, Iterable
 
 from .algebra import _cuts, _factor_rightmost, _lift, factor_irreducible, is_irreducible, shifted_concat
-from .coalgebra import antipode, coproduct, verify_antipode, verify_bialgebra, verify_coassociativity
+from .coalgebra import _shared_memos, antipode, coproduct, verify_antipode, verify_bialgebra, verify_coassociativity
 from .enumeration import (
     count_irreducible,
     count_packed,
@@ -143,24 +143,27 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # module attributes are the ones that run
     first = 1 if args.law == "factorization" else 0
     by_length = ((n, enumerate_packed(n)) for n in range(first, args.max_len + 1))
-    if args.law == "bialgebra":
-        lengths = list(by_length)
-        groups = (
-            (f"|u|={a} |v|={b}", ((u, v) for u in us for v in vs), f"{len(us) * len(vs)} pairs")
-            for a, us in lengths
-            for b, vs in lengths
-        )
-        ok = _sweep(
-            "bialgebra", groups, lambda uv: verify_bialgebra(*uv), lambda uv: f"u={uv[0].text()} v={uv[1].text()}"
-        )
-    else:
-        law, holds = {
-            "coassoc": ("coassociativity", verify_coassociativity),
-            "antipode": ("antipode", verify_antipode),
-            "factorization": ("factorization", _factorization_holds),
-        }[args.law]
-        groups = ((f"length={n}", words, f"{len(words)} words") for n, words in by_length)
-        ok = _sweep(law, groups, holds, Word.text)
+    # the verifier calls of the sweep share the coproducts and antipodes of
+    # the words shorter than the one each checks
+    with _shared_memos():
+        if args.law == "bialgebra":
+            lengths = list(by_length)
+            groups = (
+                (f"|u|={a} |v|={b}", ((u, v) for u in us for v in vs), f"{len(us) * len(vs)} pairs")
+                for a, us in lengths
+                for b, vs in lengths
+            )
+            ok = _sweep(
+                "bialgebra", groups, lambda uv: verify_bialgebra(*uv), lambda uv: f"u={uv[0].text()} v={uv[1].text()}"
+            )
+        else:
+            law, holds = {
+                "coassoc": ("coassociativity", verify_coassociativity),
+                "antipode": ("antipode", verify_antipode),
+                "factorization": ("factorization", _factorization_holds),
+            }[args.law]
+            groups = ((f"length={n}", words, f"{len(words)} words") for n, words in by_length)
+            ok = _sweep(law, groups, holds, Word.text)
     print("ALL PASS" if ok else "FAILURES FOUND")
     return EXIT_OK if ok else EXIT_VERIFY
 
@@ -177,6 +180,7 @@ def _cmd_primitives(args: argparse.Namespace) -> int:
 
 
 def _cmd_egf_check(args: argparse.Namespace) -> int:
+    _nonnegative("--max-n", args.max_n)
     rows = egf_check(args.max_n)
     all_ok = True
     for n, value, ok in rows:

@@ -10,19 +10,31 @@ slots.
 Everything runs on one private integer kernel: words are plain letter
 tuples and formal sums are dicts from tuples (or pairs and triples of
 tuples) to ``int``s.  ``Word``, ``LinComb`` and ``Tensor2`` are built only
-where a public function returns.  The kernel's memos (coproducts in the
-coassociativity check, antipodes in ``antipode`` and ``verify_antipode``)
-last one call and are never shared, so every function here is safe to
-call from several threads.  A memo that outlived its call would also hold
-its terms for the life of the process.  Measured with ``tracemalloc``
-beyond the packing cache: the coproducts of all 1 267 words of length
-<= 5 are 26 457 terms in 2.5 MB, and the antipodes met in one
-``verify antipode --max-len 5`` sweep 25 449 terms in 2.9 MB, against a
-peak RSS of about 17 MB for a whole law-checking run.
+where a public function returns.
+
+The kernel's memos (coproducts in ``verify_coassociativity`` and
+``verify_bialgebra``, antipodes in ``antipode`` and ``verify_antipode``)
+last one call, with one exception: while a CLI ``verify`` sweep runs
+(``_shared_memos``, which is thread-local), its verifier calls share the
+entries of the words shorter than the one each checks, and each call
+drops its own word's entries when it returns.  So a sweep that has
+checked every word up to length n holds the coproducts or antipodes of
+the words up to length n - 1 only.  Measured with ``tracemalloc``, beyond
+the packing cache: the coproducts of the 185 words of length <= 4, which
+``verify coassoc --max-len 5`` ends with, are 1 923 terms in 0.22 MB, and
+the antipodes that ``verify antipode --max-len 5`` ends with 1 183 terms
+in 0.16 MB; at ``--max-len 6`` (the 1 267 words of length <= 5) they are
+26 457 terms in 2.7 MB and 25 449 terms in 3.2 MB, which is also what a
+``--max-len 5`` sweep would end with if each call kept its own word's
+entries.  A sweep's memos belong to one thread, so every function here is
+safe to call from several threads; ``antipode`` and ``coproduct`` never
+hold terms beyond their call.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import compress
 from itertools import product as cartesian_product
@@ -104,11 +116,14 @@ def reduced_coproduct(x: Union[Word, LinComb]) -> Tensor2:
     return Tensor2._raw({(u, v): c for (u, v), c in coproduct(x).terms.items() if len(u) and len(v)})
 
 
-def _antipode(letters: Letters, memo: dict[Letters, dict[Letters, int]]) -> dict[Letters, int]:
+def _antipode(
+    letters: Letters, memo: dict[Letters, dict[Letters, int]], delta: dict[Split, int] | None = None
+) -> dict[Letters, int]:
     # S(w) = -w - sum over splits with both slots nonempty of S(u) * v; the
     # first slot is strictly shorter.  Every term of S(u) has the supremum
     # of u (the coproduct splits the supremum and the product adds it up),
-    # so v is lifted once per split.
+    # so v is lifted once per split.  A caller that already holds Δ(w)
+    # passes it as delta.
     if not letters:
         return {(): 1}
     result = memo.get(letters)
@@ -116,7 +131,7 @@ def _antipode(letters: Letters, memo: dict[Letters, dict[Letters, int]]) -> dict
         return result
     acc = {letters: -1}
     get = acc.get
-    for (u, v), m in _delta(letters).items():
+    for (u, v), m in (_delta(letters) if delta is None else delta).items():
         if u and v:
             tail = _lift(v, max(u))
             for s, c in _antipode(u, memo).items():
@@ -141,26 +156,62 @@ def antipode(x: Union[Word, LinComb]) -> LinComb:
     return LinComb._raw({raw(s): c for s, c in terms.items()})
 
 
+# the memos of the verify sweep open on this thread, if any
+_SWEEP = threading.local()
+
+
+@contextmanager
+def _shared_memos():
+    """Share coproducts and antipodes across the verifier calls made inside, on this thread.
+
+    Each call keeps those of the words shorter than the one it checks and
+    drops those of its own length when it returns.
+    """
+    previous = getattr(_SWEEP, "memos", None)
+    _SWEEP.memos = ({}, {})
+    try:
+        yield
+    finally:
+        _SWEEP.memos = previous
+
+
+@contextmanager
+def _memos(*own: Letters):
+    # the (coproducts, antipodes) memos of one verifier call: fresh ones, or
+    # inside _shared_memos the sweep's, from which the entries of the words
+    # in own (those as long as the checked word) go when the call ends
+    shared = getattr(_SWEEP, "memos", None)
+    if shared is None:
+        yield {}, {}
+        return
+    try:
+        yield shared
+    finally:
+        for memo in shared:
+            for x in own:
+                memo.pop(x, None)
+
+
+def _memo_delta(deltas: dict[Letters, dict[Split, int]], x: Letters) -> dict[Split, int]:
+    d = deltas.get(x)
+    if d is None:
+        d = deltas[x] = _delta(x)
+    return d
+
+
 def verify_coassociativity(w: Word) -> bool:
     """Exact comparison of the two refinements of the coproduct."""
     require_packed(w)
-    deltas: dict[Letters, dict[Split, int]] = {}
-
-    def delta(x: Letters) -> dict[Split, int]:
-        d = deltas.get(x)
-        if d is None:
-            d = deltas[x] = _delta(x)
-        return d
-
     left: dict = {}
     right: dict = {}
-    for (u, v), c in delta(w.letters).items():
-        for (a, b), c2 in delta(u).items():
-            key = (a, b, v)
-            left[key] = left.get(key, 0) + c * c2
-        for (a, b), c2 in delta(v).items():
-            key = (u, a, b)
-            right[key] = right.get(key, 0) + c * c2
+    with _memos(w.letters) as (deltas, _):
+        for (u, v), c in _memo_delta(deltas, w.letters).items():
+            for (a, b), c2 in _memo_delta(deltas, u).items():
+                key = (a, b, v)
+                left[key] = left.get(key, 0) + c * c2
+            for (a, b), c2 in _memo_delta(deltas, v).items():
+                key = (u, a, b)
+                right[key] = right.get(key, 0) + c * c2
     return left == right
 
 
@@ -171,13 +222,15 @@ def verify_bialgebra(u: Word, v: Word) -> bool:
     a, b = u.letters, v.letters
     left = _delta(a + _lift(b, max(a, default=0)))
     right: dict[Split, int] = {}
-    delta_b = _delta(b).items()
-    for (a1, a2), c1 in _delta(a).items():
-        t1 = max(a1, default=0)
-        t2 = max(a2, default=0)
-        for (b1, b2), c2 in delta_b:
-            key = (a1 + _lift(b1, t1), a2 + _lift(b2, t2))
-            right[key] = right.get(key, 0) + c1 * c2
+    # a factor is as long as the product when the other one is empty
+    with _memos(*(x for x in (a, b) if len(x) == len(a) + len(b))) as (deltas, _):
+        delta_b = _memo_delta(deltas, b).items()
+        for (a1, a2), c1 in _memo_delta(deltas, a).items():
+            t1 = max(a1, default=0)
+            t2 = max(a2, default=0)
+            for (b1, b2), c2 in delta_b:
+                key = (a1 + _lift(b1, t1), a2 + _lift(b2, t2))
+                right[key] = right.get(key, 0) + c1 * c2
     return left == right
 
 
@@ -188,13 +241,22 @@ def verify_antipode(w: Word) -> bool:
     slot must collapse everything to the counit times the unit.
     """
     require_packed(w)
-    memo: dict[Letters, dict[Letters, int]] = {}
-    delta = _delta(w.letters).items()
-    left = _collect(
-        (s + _lift(v, max(s, default=0)), c * d) for (u, v), c in delta for s, d in _antipode(u, memo).items()
-    )
-    right = _collect(
-        (u + _lift(s, max(u, default=0)), c * d) for (u, v), c in delta for s, d in _antipode(v, memo).items()
-    )
-    target = {(): 1} if not w.letters else {}
+    letters = w.letters
+    with _memos(letters) as (_, memo):
+        delta = _delta(letters)
+        # S(w), for the term w (x) e, from this Δ(w)
+        _antipode(letters, memo, delta)
+        # every term of S(u) has the supremum of u, so v is lifted once per split
+        left = _collect(
+            (s + tail, c * d)
+            for (u, v), c in delta.items()
+            for tail in (_lift(v, max(u, default=0)),)
+            for s, d in _antipode(u, memo).items()
+        )
+        right = _collect(
+            (u + _lift(s, max(u, default=0)), c * d)
+            for (u, v), c in delta.items()
+            for s, d in _antipode(v, memo).items()
+        )
+    target = {(): 1} if not letters else {}
     return left == target and right == target

@@ -281,8 +281,8 @@ def egf_check(max_n: int) -> list[Tuple[int, int, bool]]:
     Returns one (n, n!*coefficient, matches) row per n <= max_n; with exact
     rational arithmetic every row must match count_packed_total(n).
     """
-    if max_n < 1:
-        raise ValueError(f"need max_n >= 1, got {max_n}")
+    if max_n < 0:
+        raise ValueError(f"need max_n >= 0, got {max_n}")
     e = RationalSeries.exponential(max_n)
     f = (2 - e).reciprocal() * e
     rows = []

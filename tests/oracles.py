@@ -8,7 +8,8 @@ composition sums over the packed-word totals, coproducts by listing
 position subsets with the public word operations, antipodes by the
 right-hand recursion, the mirror image of the library's, and reduced row
 echelon forms by textbook Gauss-Jordan elimination.  ``packed_words`` and
-``sweep`` set up the hypothesis sweeps.
+``sweep`` set up the hypothesis sweeps, and ``corrupted_delta`` injects
+the faults that every Hopf verifier must notice.
 """
 
 from __future__ import annotations
@@ -48,6 +49,30 @@ def sweep(max_examples: int) -> settings:
         database=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
+
+
+# the words and the kinds of fault that corrupted_delta is applied with
+CORRUPTED_WORDS = [(1, 1), (1, 2, 1), (0, 1, 1)]
+DELTA_FAULTS = ["lose", "multiplicity"]
+
+
+def corrupted_delta(real, word: tuple, fault: str):
+    """The coproduct kernel `real`, except that on the letter tuple `word`
+    its largest nontrivial term is lost ("lose") or has its multiplicity
+    raised by one ("multiplicity")."""
+
+    def delta(letters):
+        terms = real(letters)
+        if letters == word:
+            terms = dict(terms)
+            split = max(k for k in terms if k[0] and k[1])
+            if fault == "lose":
+                del terms[split]
+            else:
+                terms[split] += 1
+        return terms
+
+    return delta
 
 
 def packed_words(min_len: int, max_len: int) -> st.SearchStrategy:

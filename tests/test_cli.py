@@ -1,10 +1,13 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import packedwords.coalgebra as coalgebra
+from oracles import CORRUPTED_WORDS, DELTA_FAULTS, corrupted_delta
 from packedwords import algebra, cli, count_packed, count_packed_total, enumerate_packed, parse_word
 from packedwords.cli import main
 
@@ -137,6 +140,84 @@ class TestFactorizationFaults:
         assert lines[-1] == "FAILURES FOUND"
 
 
+def _first_failures(law, max_len):
+    # the FAIL lines of `verify law --max-len max_len`, found by calling its
+    # verifier on one word or pair at a time, outside any sweep
+    assert getattr(coalgebra._SWEEP, "memos", None) is None
+    by_length = [enumerate_packed(n) for n in range(max_len + 1)]
+    if law == "bialgebra":
+        name = "bialgebra"
+        holds = lambda uv: coalgebra.verify_bialgebra(*uv)  # noqa: E731
+        show = lambda uv: f"u={uv[0].text()} v={uv[1].text()}"  # noqa: E731
+        groups = [
+            (f"|u|={a} |v|={b}", [(u, v) for u in us for v in vs])
+            for a, us in enumerate(by_length)
+            for b, vs in enumerate(by_length)
+        ]
+    else:
+        name, holds = {
+            "coassoc": ("coassociativity", coalgebra.verify_coassociativity),
+            "antipode": ("antipode", coalgebra.verify_antipode),
+        }[law]
+        show = lambda w: w.text()  # noqa: E731
+        groups = [(f"length={n}", words) for n, words in enumerate(by_length)]
+    lines = []
+    for label, cases in groups:
+        bad = next((case for case in cases if not holds(case)), None)
+        if bad is not None:
+            lines.append(f"FAIL {name} {label}: {show(bad)}")
+    return lines
+
+
+class TestVerifySweep:
+    """The calls of one `verify` sweep share the coproducts and antipodes of
+    shorter words; that must save work without hiding or moving a failure."""
+
+    @pytest.mark.parametrize("law", ["coassoc", "antipode"])
+    def test_no_word_reaches_the_kernel_more_than_twice(self, capsys, monkeypatch, law):
+        seen = Counter()
+        real = coalgebra._delta
+
+        def counted(letters):
+            seen[letters] += 1
+            return real(letters)
+
+        monkeypatch.setattr(coalgebra, "_delta", counted)
+        code, _, _ = run(capsys, "verify", law, "--max-len", "4")
+        assert code == 0
+        assert len(seen) == sum(count_packed_total(n) for n in range(5))
+        assert max(seen.values()) <= 2
+
+    @pytest.mark.parametrize("law,max_len", [("coassoc", 4), ("antipode", 4), ("bialgebra", 3)])
+    @pytest.mark.parametrize("fault", DELTA_FAULTS)
+    @pytest.mark.parametrize("word", CORRUPTED_WORDS)
+    def test_a_corrupted_coproduct_fails_as_word_by_word(self, capsys, monkeypatch, word, fault, law, max_len):
+        monkeypatch.setattr(coalgebra, "_delta", corrupted_delta(coalgebra._delta, word, fault))
+        expected = _first_failures(law, max_len)
+        code, out, _ = run(capsys, "verify", law, "--max-len", str(max_len))
+        assert code == 1
+        assert expected
+        assert [line for line in out.splitlines() if line.startswith("FAIL ")] == expected
+
+    def test_the_sweep_closes_when_it_returns(self, capsys):
+        code, _, _ = run(capsys, "verify", "antipode", "--max-len", "2")
+        assert code == 0
+        assert getattr(coalgebra._SWEEP, "memos", None) is None
+
+    def test_the_sweep_closes_when_a_verifier_raises(self, monkeypatch):
+        open_memos = []
+
+        def broken(w):
+            open_memos.append(getattr(coalgebra._SWEEP, "memos", None))
+            raise RuntimeError("broken verifier")
+
+        monkeypatch.setattr(cli, "verify_antipode", broken)
+        with pytest.raises(RuntimeError):
+            main(["verify", "antipode", "--max-len", "2"])
+        assert open_memos and open_memos[0] is not None
+        assert getattr(coalgebra._SWEEP, "memos", None) is None
+
+
 class TestPrimitivesVerb:
     def test_grade_two_dump(self, capsys):
         code, out, _ = run(capsys, "primitives", "--n", "2")
@@ -164,6 +245,11 @@ class TestEgfCheckVerb:
         assert len(lines) == 7
         assert lines[5] == "n=5\t1082\tmatch"
         assert all(line.endswith("match") for line in lines)
+
+    def test_length_zero(self, capsys):
+        code, out, _ = run(capsys, "egf-check", "--max-n", "0")
+        assert code == 0
+        assert out == "n=0\t1\tmatch\n"
 
 
 class TestErrors:
@@ -204,8 +290,9 @@ class TestErrors:
             (["coproduct", "e", "--max-len", "-1"], "--max-len"),
             (["primitives", "--n", "1", "--grade-cap", "-1"], "--grade-cap"),
             (["enumerate", "3", "--sup", "-1"], "--sup"),
+            (["egf-check", "--max-n", "-1"], "--max-n"),
         ],
-        ids=["coproduct-max-len", "primitives-grade-cap", "enumerate-sup"],
+        ids=["coproduct-max-len", "primitives-grade-cap", "enumerate-sup", "egf-check-max-n"],
     )
     def test_negative_bound_exits_2(self, capsys, argv, flag):
         code, out, err = run(capsys, *argv)

@@ -1,13 +1,22 @@
 import random
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 
 import packedwords.coalgebra as coalgebra
-from oracles import brute_antipode, brute_coproduct, packed_words, sweep
+from oracles import (
+    CORRUPTED_WORDS,
+    DELTA_FAULTS,
+    brute_antipode,
+    brute_coproduct,
+    corrupted_delta,
+    packed_words,
+    sweep,
+)
 from packedwords import (
     LinComb,
     NotPackedError,
@@ -265,25 +274,6 @@ class TestLongWordSweep:
         assert verify_bialgebra(u, v)
 
 
-def _corrupted_delta(word, fault):
-    # the kernel's coproduct, except that on one word one nontrivial term
-    # is lost or its multiplicity is raised by one
-    real = coalgebra._delta
-
-    def delta(letters):
-        terms = real(letters)
-        if letters == word:
-            terms = dict(terms)
-            split = max(k for k in terms if k[0] and k[1])
-            if fault == "lose":
-                del terms[split]
-            else:
-                terms[split] += 1
-        return terms
-
-    return delta
-
-
 def _pairs_up_to(max_len):
     words = words_up_to(max_len)
     return [(u, v) for u in words for v in words if len(u) + len(v) <= max_len]
@@ -292,10 +282,10 @@ def _pairs_up_to(max_len):
 class TestVerifierFaults:
     """Each Hopf verifier must notice a coproduct that is wrong on one word."""
 
-    @pytest.mark.parametrize("fault", ["lose", "multiplicity"])
-    @pytest.mark.parametrize("word", [(1, 1), (1, 2, 1), (0, 1, 1)])
+    @pytest.mark.parametrize("fault", DELTA_FAULTS)
+    @pytest.mark.parametrize("word", CORRUPTED_WORDS)
     def test_every_verifier_fails_on_a_corrupted_coproduct(self, monkeypatch, word, fault):
-        monkeypatch.setattr(coalgebra, "_delta", _corrupted_delta(word, fault))
+        monkeypatch.setattr(coalgebra, "_delta", corrupted_delta(coalgebra._delta, word, fault))
         assert not all(verify_coassociativity(w) for w in words_up_to(4))
         assert not all(verify_bialgebra(u, v) for u, v in _pairs_up_to(4))
         assert not all(verify_antipode(w) for w in words_up_to(4))
@@ -329,3 +319,45 @@ class TestThreads:
         assert len(results) == 4
         for got in results:
             assert got == expected
+
+    def test_another_threads_sweep_is_not_shared(self, monkeypatch):
+        # Δ calls per thread: verify_antipode outside a sweep recomputes the
+        # antipodes of the shorter words, inside one it reuses them
+        w = W("1,2,1")
+        calls = Counter()
+        real = coalgebra._delta
+
+        def counted(letters):
+            calls[threading.get_ident()] += 1
+            return real(letters)
+
+        monkeypatch.setattr(coalgebra, "_delta", counted)
+        me = threading.get_ident()
+        assert verify_antipode(w)
+        alone = calls.pop(me)
+        with coalgebra._shared_memos():
+            for v in words_up_to(2):
+                verify_antipode(v)
+            calls.pop(me)
+            assert verify_antipode(w)
+            assert calls.pop(me) < alone
+
+        opened, done = threading.Event(), threading.Event()
+
+        def sweeper():
+            with coalgebra._shared_memos():
+                for v in words_up_to(3):
+                    verify_antipode(v)
+                opened.set()
+                done.wait(timeout=60)
+
+        other = threading.Thread(target=sweeper)
+        other.start()
+        try:
+            assert opened.wait(timeout=60)
+            assert verify_antipode(w)
+            assert calls[me] == alone
+        finally:
+            done.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
