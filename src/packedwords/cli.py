@@ -143,27 +143,28 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # module attributes are the ones that run
     first = 1 if args.law == "factorization" else 0
     by_length = ((n, enumerate_packed(n)) for n in range(first, args.max_len + 1))
-    # the verifier calls of the sweep share the coproducts and antipodes of
+    if args.law == "bialgebra":
+        lengths = list(by_length)
+        groups = (
+            (f"|u|={a} |v|={b}", ((u, v) for u in us for v in vs), f"{len(us) * len(vs)} pairs")
+            for a, us in lengths
+            for b, vs in lengths
+        )
+        law = "bialgebra"
+        holds = lambda uv: verify_bialgebra(*uv)  # noqa: E731
+        show = lambda uv: f"u={uv[0].text()} v={uv[1].text()}"  # noqa: E731
+    else:
+        law, holds = {
+            "coassoc": ("coassociativity", verify_coassociativity),
+            "antipode": ("antipode", verify_antipode),
+            "factorization": ("factorization", _factorization_holds),
+        }[args.law]
+        groups = ((f"length={n}", words, f"{len(words)} words") for n, words in by_length)
+        show = Word.text
+    # the verifier calls of one sweep share the coproducts and antipodes of
     # the words shorter than the one each checks
     with _shared_memos():
-        if args.law == "bialgebra":
-            lengths = list(by_length)
-            groups = (
-                (f"|u|={a} |v|={b}", ((u, v) for u in us for v in vs), f"{len(us) * len(vs)} pairs")
-                for a, us in lengths
-                for b, vs in lengths
-            )
-            ok = _sweep(
-                "bialgebra", groups, lambda uv: verify_bialgebra(*uv), lambda uv: f"u={uv[0].text()} v={uv[1].text()}"
-            )
-        else:
-            law, holds = {
-                "coassoc": ("coassociativity", verify_coassociativity),
-                "antipode": ("antipode", verify_antipode),
-                "factorization": ("factorization", _factorization_holds),
-            }[args.law]
-            groups = ((f"length={n}", words, f"{len(words)} words") for n, words in by_length)
-            ok = _sweep(law, groups, holds, Word.text)
+        ok = _sweep(law, groups, holds, show)
     print("ALL PASS" if ok else "FAILURES FOUND")
     return EXIT_OK if ok else EXIT_VERIFY
 
