@@ -64,7 +64,8 @@ class FormalSum:
     operation returns a fresh value of the same concrete type and no stored
     coefficient is ever zero.  Sums of different concrete types neither
     compare equal nor add.  A subclass supplies ``_check_key``, which
-    validates and normalises one key, and ``_key_text``, which renders one.
+    validates and normalises one key, ``_key_text``, which renders one, and
+    ``_sort_key``, which maps one to plain tuples in canonical order.
     """
 
     __slots__ = ("terms",)
@@ -90,7 +91,8 @@ class FormalSum:
 
     def items(self) -> list:
         """Terms in canonical key order."""
-        return sorted(self.terms.items())
+        terms = self.terms
+        return [(k, terms[k]) for k in sorted(terms, key=self._sort_key)]
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -149,6 +151,11 @@ class LinComb(FormalSum):
     @staticmethod
     def _key_text(w: Word) -> str:
         return w.text()
+
+    @staticmethod
+    def _sort_key(w: Word) -> Tuple[int, Tuple[int, ...]]:
+        # the order of Word.__lt__
+        return len(w.letters), w.letters
 
     @classmethod
     def unit(cls) -> "LinComb":

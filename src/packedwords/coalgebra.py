@@ -3,9 +3,13 @@
 The coproduct of a packed word sums, over every ordered two-block split
 (I, J) of its positions, the packed subword on I tensored with the packed
 quotient of the subword on J by the letters selected on I.  Together with
-shifted concatenation this yields a graded connected Hopf algebra, so the
-antipode is computed by the usual recursion over strictly smaller first
-slots.
+shifted concatenation this yields a graded connected Hopf algebra.  The
+algebra is free on its irreducible words and an antipode reverses
+products, so the antipode of a reducible word f1 * ... * fk is
+S(fk) * ... * S(f1).  Every product term is distinct, so nothing cancels
+and the last product makes exactly the terms of the result.  Only
+irreducible words take the usual recursion over strictly smaller first
+slots, which reaches reducible subwords through the same memo.
 
 Everything runs on one private integer kernel: words are plain letter
 tuples and formal sums are dicts from tuples (or pairs and triples of
@@ -40,7 +44,7 @@ from itertools import compress
 from itertools import product as cartesian_product
 from typing import Tuple, Union
 
-from .algebra import FormalSum, LinComb, _as_lincomb, _collect, _lift
+from .algebra import FormalSum, LinComb, _as_lincomb, _collect, _cuts, _lift
 from .algebra import product  # noqa: F401  kept importable here: perfbench/tracer.py wraps coalgebra.product
 from .words import Word, _pack_letters, require_packed
 
@@ -74,6 +78,12 @@ class Tensor2(FormalSum):
     def _key_text(pair: Pair) -> str:
         u, v = pair
         return f"{u.text()} (x) {v.text()}"
+
+    @staticmethod
+    def _sort_key(pair: Pair) -> Tuple[Tuple[int, Letters], Tuple[int, Letters]]:
+        # the order of Word.__lt__ on each slot
+        u, v = pair
+        return (len(u.letters), u.letters), (len(v.letters), v.letters)
 
 
 def _delta(letters: Letters) -> dict[Split, int]:
@@ -119,16 +129,34 @@ def reduced_coproduct(x: Union[Word, LinComb]) -> Tensor2:
 def _antipode(
     letters: Letters, memo: dict[Letters, dict[Letters, int]], delta: dict[Split, int] | None = None
 ) -> dict[Letters, int]:
-    # S(w) = -w - sum over splits with both slots nonempty of S(u) * v; the
-    # first slot is strictly shorter.  Every term of S(u) has the supremum
-    # of u (the coproduct splits the supremum and the product adds it up),
-    # so v is lifted once per split.  A caller that already holds Δ(w)
-    # passes it as delta.
+    # S(w) of the module docstring.  Every term of S(u) has the supremum of
+    # u (the coproduct splits the supremum and the product adds it up), so
+    # each product lifts a whole antipode by one amount.  A caller that
+    # already holds Δ(w) passes it as delta; a reducible w does not use it.
     if not letters:
         return {(): 1}
     result = memo.get(letters)
     if result is not None:
         return result
+    cuts = _cuts(letters)
+    if cuts:
+        # the factors as in algebra.factor_irreducible; the S of each goes
+        # in front of the product so far, lifted by the suprema of the
+        # factors after it, sup(w) - top
+        result = {(): 1}
+        sup = max(letters)
+        start = top = 0
+        for i in cuts + [len(letters)]:
+            piece = letters[start:i]
+            f = _lift(piece, -top)
+            top = max(top, *piece)
+            head = [(_lift(s, sup - top), d) for s, d in _antipode(f, memo).items()]
+            result = {s + a: d * c for s, d in head for a, c in result.items()}
+            start = i
+        memo[letters] = result
+        return result
+    # irreducible: S(w) = -w - sum of S(u) * v over the splits with both
+    # slots nonempty, u strictly shorter than w
     acc = {letters: -1}
     get = acc.get
     for (u, v), m in (_delta(letters) if delta is None else delta).items():
@@ -142,12 +170,16 @@ def _antipode(
 
 
 def antipode(x: Union[Word, LinComb]) -> LinComb:
-    """Antipode by the graded-connected recursion, extended linearly.
+    """Antipode, extended linearly.
 
-    ``S(w) = -w - sum S(u) * v`` over the coproduct's terms ``u (x) v`` with
-    both slots nonempty.  Coefficients are integers.  The antipode of each
-    packed word met in the recursion is computed once per call and kept
-    only until the call returns; nothing is cached between calls.
+    A reducible word ``f1 * ... * fk`` (``factor_irreducible``) gets
+    ``S(fk) * ... * S(f1)``, whose terms are all distinct, so the last
+    product makes exactly the terms of the result.  An irreducible word
+    gets the graded-connected recursion ``S(w) = -w - sum S(u) * v`` over
+    the coproduct's terms ``u (x) v`` with both slots nonempty.
+    Coefficients are integers.  The antipode of each packed word met in the
+    recursion is computed once per call and kept only until the call
+    returns; nothing is cached between calls.
     """
     lin = _as_lincomb(x)
     memo: dict[Letters, dict[Letters, int]] = {}
@@ -220,10 +252,12 @@ def verify_bialgebra(u: Word, v: Word) -> bool:
     require_packed(u)
     require_packed(v)
     a, b = u.letters, v.letters
-    left = _delta(a + _lift(b, max(a, default=0)))
+    uv = a + _lift(b, max(a, default=0))
     right: dict[Split, int] = {}
-    # a factor is as long as the product when the other one is empty
-    with _memos(*(x for x in (a, b) if len(x) == len(a) + len(b))) as (deltas, _):
+    # a factor is as long as the product when the other one is empty; then
+    # it is the product, and its one Δ serves both sides
+    with _memos(*(x for x in (a, b) if len(x) == len(uv))) as (deltas, _):
+        left = _memo_delta(deltas, uv) if not (a and b) else _delta(uv)
         delta_b = _memo_delta(deltas, b).items()
         for (a1, a2), c1 in _memo_delta(deltas, a).items():
             t1 = max(a1, default=0)
@@ -238,13 +272,16 @@ def verify_antipode(w: Word) -> bool:
     """Both convolution identities for the antipode, checked exactly.
 
     Multiplying the antipode of one slot of the coproduct against the other
-    slot must collapse everything to the counit times the unit.
+    slot must collapse everything to the counit times the unit.  For an
+    irreducible word the left identity holds by the construction of S; for
+    a reducible one S comes from the factors, so both identities are checks.
     """
     require_packed(w)
     letters = w.letters
     with _memos(letters) as (_, memo):
         delta = _delta(letters)
-        # S(w), for the term w (x) e, from this Δ(w)
+        # S(w), for the term w (x) e: from the factors of a reducible w, else
+        # from this Δ(w)
         _antipode(letters, memo, delta)
         # every term of S(u) has the supremum of u, so v is lifted once per split
         left = _collect(

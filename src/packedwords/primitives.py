@@ -24,7 +24,6 @@ so the reported dimensions and bases carry no numerical tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Tuple
@@ -116,7 +115,6 @@ def _eliminate(rows: list[dict[int, Fraction]], ncols: int) -> dict[int, dict[in
     return reduced
 
 
-@dataclass
 class RationalMatrix:
     """Sparse exact-rational matrix of the reduced coproduct on one grade.
 
@@ -125,9 +123,12 @@ class RationalMatrix:
     coproduct, sorted canonically.
     """
 
-    col_labels: list[Word]
-    row_labels: list[Tuple[Word, Word]]
-    rows: list[dict[int, Fraction]]
+    def __init__(
+        self, col_labels: list[Word], row_labels: list[Tuple[Word, Word]], rows: list[dict[int, Fraction]]
+    ) -> None:
+        self.col_labels = col_labels
+        self.row_labels = row_labels
+        self.rows = rows
 
     @property
     def n_rows(self) -> int:
@@ -159,13 +160,13 @@ class RationalMatrix:
         return list(basis.values())  # built in ascending f
 
 
-@dataclass
 class PrimitiveBasis:
     """Basis of the primitive space of one grade."""
 
-    grade: int
-    dimension: int
-    vectors: list[LinComb] = field(default_factory=list)
+    def __init__(self, grade: int, dimension: int, vectors: "list[LinComb] | None" = None) -> None:
+        self.grade = grade
+        self.dimension = dimension
+        self.vectors = [] if vectors is None else vectors
 
     def text(self) -> str:
         lines = [f"grade={self.grade} dim={self.dimension}"]

@@ -26,6 +26,8 @@ from packedwords import (
     coproduct,
     counit,
     enumerate_packed,
+    factor_irreducible,
+    is_irreducible,
     pack,
     parse_word,
     product,
@@ -253,6 +255,25 @@ class TestAgainstOracles:
         for w in seeded_words(6, 6, 8):
             assert antipode(w) == brute_antipode(w, memo), w
 
+    def test_antipode_on_seeded_reducible_words_of_length_seven_and_eight(self):
+        # reducible words take the product of their factors' antipodes
+        words = [W("0,2,4,3,1,4,1"), W("1,2,3,2,2,0,0")]
+        words += [w for n in (7, 8) for w in seeded_words(n, n, 12) if not is_irreducible(w)]
+        factors = [factor_irreducible(w) for w in words]
+        assert len(words) == 12 and all(len(f) >= 2 for f in factors)
+        assert any(len(f) >= 3 for f in factors)
+        assert any(w.letters[0] == 0 for w in words) and any(w.letters[-1] == 0 for w in words)
+        memo = {}
+        for w in words:
+            assert antipode(w) == brute_antipode(w, memo), w
+
+    def test_antipode_reverses_products_of_irreducible_words(self):
+        words = [w for n in (2, 3, 4) for w in seeded_words(n + 20, n, 6) if is_irreducible(w)]
+        rng = random.Random(5)
+        for _ in range(20):
+            u, v = rng.choice(words), rng.choice(words)
+            assert antipode(shifted_concat(u, v)) == product(antipode(v), antipode(u)), (u, v)
+
 
 class TestLongWordSweep:
     """Words longer than the exhaustive sweeps reach, drawn by hypothesis."""
@@ -289,6 +310,19 @@ class TestVerifierFaults:
         assert not all(verify_coassociativity(w) for w in words_up_to(4))
         assert not all(verify_bialgebra(u, v) for u, v in _pairs_up_to(4))
         assert not all(verify_antipode(w) for w in words_up_to(4))
+
+    @pytest.mark.parametrize("fault", DELTA_FAULTS)
+    def test_the_left_identity_alone_fails_on_a_reducible_word(self, monkeypatch, fault):
+        # S(0,1,1) = S(1,1) * S(0) comes from the factors, not from Δ(0,1,1),
+        # so a wrong Δ(0,1,1) leaves sum S(u) * v over it nonzero
+        word = (0, 1, 1)
+        monkeypatch.setattr(coalgebra, "_delta", corrupted_delta(coalgebra._delta, word, fault))
+        w = Word(word)
+        left = LinComb.zero()
+        for (u, v), c in coproduct(w).terms.items():
+            left = left + c * product(antipode(u), v)
+        assert left
+        assert not verify_antipode(w)
 
     def test_the_kernel_passes_the_same_checks(self):
         assert all(verify_coassociativity(w) for w in words_up_to(4))
