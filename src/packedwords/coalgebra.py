@@ -257,7 +257,7 @@ def verify_bialgebra(u: Word, v: Word) -> bool:
     # a factor is as long as the product when the other one is empty; then
     # it is the product, and its one Δ serves both sides
     with _memos(*(x for x in (a, b) if len(x) == len(uv))) as (deltas, _):
-        left = _memo_delta(deltas, uv) if not (a and b) else _delta(uv)
+        left = _delta(uv) if a and b else _memo_delta(deltas, uv)
         delta_b = _memo_delta(deltas, b).items()
         for (a1, a2), c1 in _memo_delta(deltas, a).items():
             t1 = max(a1, default=0)

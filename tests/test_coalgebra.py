@@ -227,6 +227,21 @@ class TestHopfVerifiers:
             for v in words_up_to(2):
                 assert verify_bialgebra(u, v)
 
+    def test_bialgebra_with_an_empty_factor_takes_each_coproduct_once(self, monkeypatch):
+        # the product is then the other factor, whose Δ serves both sides
+        seen = Counter()
+        real = coalgebra._delta
+
+        def counted(letters):
+            seen[letters] += 1
+            return real(letters)
+
+        monkeypatch.setattr(coalgebra, "_delta", counted)
+        w = W("1,2,1")
+        assert verify_bialgebra(W("e"), w)
+        assert verify_bialgebra(w, W("e"))
+        assert seen == Counter({(1, 2, 1): 2, (): 2})
+
     def test_antipode_axiom(self):
         assert verify_antipode(W("e"))
         assert verify_antipode(W("1,1"))
