@@ -4,19 +4,19 @@ The count of packed words of length n and supremum k splits into the words
 that avoid x0 and those that use it; both parts are ordered set partitions,
 giving d(n,k) = S(n,k)k! + S(n,k+1)(k+1)! = S(n+1,k+1)k! in terms of
 Stirling numbers of the second kind.  Totals per length follow the
-exponential generating function e^x/(2-e^x), and the irreducible counts
-come out of the free-monoid structure, either as an inclusion-exclusion
-over compositions or by an integer recurrence.  The words themselves are
+exponential generating function e^x/(2-e^x), expanded here by the
+recurrence its coefficients obey, and the irreducible counts come out of
+the free-monoid structure, either as an inclusion-exclusion over
+compositions or by an integer recurrence.  The words themselves are
 generated depth first in canonical order, pruned so that every prefix
-extends to a packed word.  Everything is exact: integer counts are
-arbitrary precision and series coefficients are rationals.
+extends to a packed word.  Everything is exact: every count is an
+arbitrary-precision integer.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial
-from typing import Iterator, Sequence, Tuple, Union
+from math import comb, factorial
+from typing import Iterator, Tuple
 
 from .algebra import is_irreducible
 from .words import Word
@@ -31,11 +31,8 @@ __all__ = [
     "count_irreducible_compositions",
     "enumerate_packed",
     "enumerate_irreducible",
-    "RationalSeries",
     "egf_check",
 ]
-
-_ZERO = Fraction(0)
 
 # triangle rows built on demand; row n holds S(n, 0..n)
 _STIRLING_ROWS: list[list[int]] = [[1]]
@@ -131,103 +128,6 @@ def enumerate_irreducible(n: int) -> list[Word]:
     return [w for w in enumerate_packed(n) if is_irreducible(w)]
 
 
-class RationalSeries:
-    """Power series truncated at a fixed order with exact rational coefficients.
-
-    All arithmetic (sum, product, reciprocal) is exact at the truncation
-    order; binary operations truncate to the smaller order.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[object], order: Union[int, None] = None) -> None:
-        cs = [Fraction(c) for c in coeffs]
-        if order is not None:
-            if order < 0:
-                raise ValueError(f"need order >= 0, got {order}")
-            cs = cs[: order + 1] + [_ZERO] * (order + 1 - len(cs))
-        elif not cs:
-            raise ValueError("a series needs at least its constant coefficient")
-        self.coeffs = cs
-
-    @classmethod
-    def constant(cls, value: object, order: int) -> "RationalSeries":
-        return cls([Fraction(value)], order=order)
-
-    @classmethod
-    def exponential(cls, order: int) -> "RationalSeries":
-        """Truncation of e^x."""
-        return cls([Fraction(1, factorial(m)) for m in range(order + 1)])
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, n: int) -> Fraction:
-        if not 0 <= n <= self.order:
-            raise ValueError(f"coefficient {n} outside truncation order {self.order}")
-        return self.coeffs[n]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __add__(self, other: object) -> "RationalSeries":
-        other = self._coerce(other)
-        order = min(self.order, other.order)
-        return RationalSeries([self.coeffs[m] + other.coeffs[m] for m in range(order + 1)])
-
-    __radd__ = __add__
-
-    def __sub__(self, other: object) -> "RationalSeries":
-        other = self._coerce(other)
-        order = min(self.order, other.order)
-        return RationalSeries([self.coeffs[m] - other.coeffs[m] for m in range(order + 1)])
-
-    def __rsub__(self, other: object) -> "RationalSeries":
-        return self._coerce(other) - self
-
-    def __neg__(self) -> "RationalSeries":
-        return RationalSeries([-c for c in self.coeffs])
-
-    def __mul__(self, other: object) -> "RationalSeries":
-        if not isinstance(other, RationalSeries):
-            c = Fraction(other)
-            return RationalSeries([c * v for v in self.coeffs])
-        order = min(self.order, other.order)
-        out = [_ZERO] * (order + 1)
-        for i, a in enumerate(self.coeffs[: order + 1]):
-            if not a:
-                continue
-            for j in range(order + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return RationalSeries(out)
-
-    __rmul__ = __mul__
-
-    def reciprocal(self) -> "RationalSeries":
-        """Multiplicative inverse; the constant coefficient must be nonzero."""
-        a0 = self.coeffs[0]
-        if not a0:
-            raise ZeroDivisionError("series with zero constant term has no reciprocal")
-        out = [1 / a0]
-        for m in range(1, self.order + 1):
-            s = sum((self.coeffs[j] * out[m - j] for j in range(1, m + 1)), _ZERO)
-            out.append(-s / a0)
-        return RationalSeries(out)
-
-    def _coerce(self, other: object) -> "RationalSeries":
-        if isinstance(other, RationalSeries):
-            return other
-        return RationalSeries.constant(other, self.order)
-
-    def __repr__(self) -> str:
-        return f"RationalSeries({self.coeffs!r})"
-
-
 _irreducible_cache: list[int] = [0]
 
 
@@ -278,16 +178,15 @@ def count_irreducible_compositions(n: int) -> int:
 def egf_check(max_n: int) -> list[Tuple[int, int, bool]]:
     """Expand e^x/(2-e^x) exactly and compare n!*[x^n] against the counts.
 
-    Returns one (n, n!*coefficient, matches) row per n <= max_n; with exact
-    rational arithmetic every row must match count_packed_total(n).
+    Writing f = e^x/(2-e^x) = sum a_n x^n/n!, the identity f*(2-e^x) = e^x
+    compared at n!*[x^n] on both sides reads 2a_n - sum_{k<=n} C(n,k)a_k = 1,
+    that is a_0 = 1 and a_n = 1 + sum_{k<n} C(n,k)*a_k, computed in plain
+    integers.  Returns one (n, a_n, matches) row per n <= max_n; every row
+    must match count_packed_total(n).
     """
     if max_n < 0:
         raise ValueError(f"need max_n >= 0, got {max_n}")
-    e = RationalSeries.exponential(max_n)
-    f = (2 - e).reciprocal() * e
-    rows = []
+    a: list[int] = []
     for n in range(max_n + 1):
-        val = f.coefficient(n) * factorial(n)
-        ok = val.denominator == 1 and int(val) == count_packed_total(n)
-        rows.append((n, int(val) if val.denominator == 1 else val, ok))
-    return rows
+        a.append(1 + sum(comb(n, k) * a[k] for k in range(n)))
+    return [(n, v, v == count_packed_total(n)) for n, v in enumerate(a)]

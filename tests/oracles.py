@@ -6,7 +6,8 @@ set partitions, decompositions by trying every candidate right factor or
 by multiplying out every pair of factors, irreducible counts by explicit
 composition sums over the packed-word totals, coproducts by listing
 position subsets with the public word operations, antipodes by the
-right-hand recursion, the mirror image of the library's, and reduced row
+right-hand recursion, the mirror image of the library's, the series
+e^x/(2-e^x) by truncated ``Fraction`` series arithmetic, and reduced row
 echelon forms by textbook Gauss-Jordan elimination.  ``packed_words`` and
 ``sweep`` set up the hypothesis sweeps, and ``corrupted_delta`` injects
 the faults that every Hopf verifier must notice.
@@ -18,6 +19,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 from itertools import product as iproduct
+from math import factorial
 
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -215,6 +217,20 @@ def brute_antipode(w: Word, memo: "dict[Word, LinComb] | None" = None) -> LinCom
                 result = result - c * product(LinComb.word(u), brute_antipode(v, memo))
         memo[w] = result
     return memo[w]
+
+
+def egf_expansion(order: int) -> list[Fraction]:
+    """n! * [x^n] of e^x/(2-e^x) for n <= order, by Fraction series arithmetic.
+
+    The reciprocal g of c = 2 - e^x solves sum_{j<=m} c_j*g_{m-j} = [m == 0]
+    term by term; the product g*e^x is truncated at order.
+    """
+    e = [Fraction(1, factorial(m)) for m in range(order + 1)]
+    c = [2 - e[0]] + [-x for x in e[1:]]
+    g = [1 / c[0]]
+    for m in range(1, order + 1):
+        g.append(-sum(c[j] * g[m - j] for j in range(1, m + 1)) / c[0])
+    return [factorial(n) * sum(g[j] * e[n - j] for j in range(n + 1)) for n in range(order + 1)]
 
 
 def _rref(rows: list[dict[int, Fraction]], ncols: int) -> tuple[list[int], list[dict[int, Fraction]]]:

@@ -1,15 +1,13 @@
 import sys
 import threading
 from collections import Counter
-from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
-from oracles import brute_packed_words, partition_packed_words
+from oracles import brute_packed_words, egf_expansion, partition_packed_words
 from packedwords import enumeration
 from packedwords import (
-    RationalSeries,
     count_irreducible,
     count_irreducible_compositions,
     count_packed,
@@ -201,31 +199,6 @@ class TestEnumeration:
             enumerate_irreducible(0)
 
 
-class TestRationalSeries:
-    def test_exponential_coefficients(self):
-        e = RationalSeries.exponential(6)
-        assert e.coefficient(0) == 1
-        assert e.coefficient(5) == Fraction(1, 120)
-
-    def test_product_truncates_to_smaller_order(self):
-        a = RationalSeries([1, 1, 1])
-        b = RationalSeries([1, 2])
-        assert (a * b).order == 1
-        assert (a * b).coefficient(1) == 3
-
-    def test_reciprocal_round_trip(self):
-        s = RationalSeries([2, -1, Fraction(1, 3), 5], order=8)
-        assert s * s.reciprocal() == RationalSeries.constant(1, 8)
-
-    def test_reciprocal_needs_constant_term(self):
-        with pytest.raises(ZeroDivisionError):
-            RationalSeries([0, 1]).reciprocal()
-
-    def test_coefficient_outside_order_rejected(self):
-        with pytest.raises(ValueError):
-            RationalSeries([1]).coefficient(1)
-
-
 class TestEgfCheck:
     def test_all_match(self):
         rows = egf_check(10)
@@ -235,9 +208,13 @@ class TestEgfCheck:
         assert rows[5][1] == 1082
 
     def test_counts_are_twice_the_ordered_bell_numbers(self):
-        order = 10
-        g = (2 - RationalSeries.exponential(order)).reciprocal()
-        for n in range(1, order + 1):
-            fubini = g.coefficient(n) * factorial(n)
-            assert fubini.denominator == 1
-            assert count_packed_total(n) == 2 * fubini
+        # ordered Bell numbers: b_0 = 1, b_n = sum_{k=1..n} C(n,k)*b_{n-k}
+        fubini = [1]
+        for n in range(1, 11):
+            fubini.append(sum(comb(n, k) * fubini[n - k] for k in range(1, n + 1)))
+            assert count_packed_total(n) == 2 * fubini[n]
+
+    def test_matches_the_fraction_series_expansion(self):
+        rows = egf_check(40)
+        assert [(n, v) for n, v, _ in rows] == list(enumerate(egf_expansion(40)))
+        assert all(type(v) is int for _, v, _ in rows)
