@@ -218,3 +218,26 @@ class TestEgfCheck:
         rows = egf_check(40)
         assert [(n, v) for n, v, _ in rows] == list(enumerate(egf_expansion(40)))
         assert all(type(v) is int for _, v, _ in rows)
+
+    def test_fraction_oracle_is_integral_and_starts_right(self):
+        # the oracle carries the cross-check above, so pin it on its own
+        values = egf_expansion(7)
+        assert all(v.denominator == 1 for v in values)
+        assert values == [1, 2, 6, 26, 150, 1082, 9366, 94586]
+
+    def test_all_match_well_past_machine_words(self):
+        rows = egf_check(150)
+        assert all(ok for _, _, ok in rows)
+        assert rows[150][1] > 2**64
+
+    def test_shorter_runs_are_prefixes(self):
+        rows = egf_check(60)
+        for m in (0, 1, 10, 59):
+            assert egf_check(m) == rows[: m + 1]
+
+    def test_order_zero(self):
+        assert egf_check(0) == [(0, 1, True)]
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="max_n"):
+            egf_check(-1)
