@@ -235,36 +235,38 @@ def is_irreducible(w: Word) -> bool:
     return not _cuts(_nonempty_packed(w, "is neither irreducible nor reducible"))
 
 
-def factor_irreducible(w: Word) -> list[Word]:
-    """Unique factorization of a nonempty packed word into irreducibles.
-
-    A cut of a tail is a cut of the whole word, so the word is split at all
-    of its cuts at once; each piece is shifted down by the supremum of the
-    letters before it.
-    """
-    letters = _nonempty_packed(w, "has no irreducible factorization")
+def _factors(letters: Tuple[int, ...]) -> list[Tuple[int, ...]]:
+    # the irreducible factors of a nonempty packed word's letters: a cut of a
+    # tail is a cut of the whole word, so the word is split at all of its
+    # cuts at once, and each piece is shifted down by the supremum of the
+    # letters before it
     factors = []
     start = top = 0
     for i in _cuts(letters) + [len(letters)]:
         piece = letters[start:i]
-        factors.append(Word._raw(_lift(piece, -top)))
+        factors.append(_lift(piece, -top))
         top = max(top, *piece)
         start = i
     return factors
 
 
-def _factor_rightmost(w: Word) -> list[Word]:
-    # same factorization computed by peeling irreducible factors off the right,
-    # one rightmost cut of the shrinking head at a time; used as an internal
-    # cross-check of uniqueness
-    head = _nonempty_packed(w, "has no irreducible factorization")
+def factor_irreducible(w: Word) -> list[Word]:
+    """Unique factorization of a nonempty packed word into irreducibles."""
+    raw = Word._raw
+    return [raw(f) for f in _factors(_nonempty_packed(w, "has no irreducible factorization"))]
+
+
+def _factor_rightmost(letters: Tuple[int, ...]) -> list[Tuple[int, ...]]:
+    # the factors of _factors, computed independently by peeling irreducible
+    # factors off the right, one rightmost cut of the shrinking word at a
+    # time; a cross-check of uniqueness
     factors = []
     while True:
-        cuts = _cuts(head)
+        cuts = _cuts(letters)
         if not cuts:
-            factors.append(Word._raw(head))
+            factors.append(letters)
             factors.reverse()
             return factors
         i = cuts[-1]
-        factors.append(Word._raw(_lift(head[i:], -max(head[:i]))))
-        head = head[:i]
+        factors.append(_lift(letters[i:], -max(letters[:i])))
+        letters = letters[:i]

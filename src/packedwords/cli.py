@@ -114,13 +114,13 @@ def _cmd_antipode(args: argparse.Namespace) -> int:
 def _factorization_holds(w: Word) -> bool:
     # round trip, irreducible factors and left greedy = right greedy,
     # checked on letter tuples
-    factors = factor_irreducible(w)
+    factors = [f.letters for f in factor_irreducible(w)]
     rebuilt, top = (), 0
     for f in factors:
-        piece = _lift(f.letters, top)
+        piece = _lift(f, top)
         rebuilt += piece
         top = max(top, *piece)
-    return rebuilt == w.letters and not any(_cuts(f.letters) for f in factors) and factors == _factor_rightmost(w)
+    return rebuilt == w.letters and not any(map(_cuts, factors)) and factors == _factor_rightmost(w.letters)
 
 
 def _sweep(law: str, groups: Iterable[tuple[str, Iterable, str]], holds: Callable, show: Callable) -> bool:

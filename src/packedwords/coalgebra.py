@@ -5,9 +5,9 @@ The coproduct of a packed word sums, over every ordered two-block split
 quotient of the subword on J by the letters selected on I.  Together with
 shifted concatenation this yields a graded connected Hopf algebra.  The
 algebra is free on its irreducible words and an antipode reverses
-products, so the antipode of a reducible word f1 * ... * fk is
-S(fk) * ... * S(f1).  Every product term is distinct, so nothing cancels
-and the last product makes exactly the terms of the result.  Only
+products, so a reducible word f1 * ... * fk (``algebra._factors``) has
+antipode S(fk) * ... * S(f1).  Every product term is distinct, so nothing
+cancels and the last product makes exactly the terms of the result.  Only
 irreducible words take the usual recursion over strictly smaller first
 slots, which reaches reducible subwords through the same memo.
 
@@ -44,7 +44,7 @@ from itertools import compress
 from itertools import product as cartesian_product
 from typing import Tuple, Union
 
-from .algebra import FormalSum, LinComb, _as_lincomb, _collect, _cuts, _lift
+from .algebra import FormalSum, LinComb, _as_lincomb, _collect, _factors, _lift
 from .algebra import product  # noqa: F401  kept importable here: perfbench/tracer.py wraps coalgebra.product
 from .words import Word, _pack_letters, require_packed
 
@@ -138,21 +138,16 @@ def _antipode(
     result = memo.get(letters)
     if result is not None:
         return result
-    cuts = _cuts(letters)
-    if cuts:
-        # the factors as in algebra.factor_irreducible; the S of each goes
-        # in front of the product so far, lifted by the suprema of the
-        # factors after it, sup(w) - top
+    factors = _factors(letters)
+    if len(factors) > 1:
+        # reducible: the S of each factor (algebra._factors) goes in front
+        # of the product so far, lifted by the suprema of the factors after it
         result = {(): 1}
-        sup = max(letters)
-        start = top = 0
-        for i in cuts + [len(letters)]:
-            piece = letters[start:i]
-            f = _lift(piece, -top)
-            top = max(top, *piece)
-            head = [(_lift(s, sup - top), d) for s, d in _antipode(f, memo).items()]
+        lift = max(letters)
+        for f in factors:
+            lift -= max(f)
+            head = [(_lift(s, lift), d) for s, d in _antipode(f, memo).items()]
             result = {s + a: d * c for s, d in head for a, c in result.items()}
-            start = i
         memo[letters] = result
         return result
     # irreducible: S(w) = -w - sum of S(u) * v over the splits with both

@@ -18,7 +18,7 @@ from __future__ import annotations
 from math import comb, factorial
 from typing import Iterator, Tuple
 
-from .algebra import is_irreducible
+from .algebra import _cuts
 from .words import Word
 
 __all__ = [
@@ -125,7 +125,7 @@ def enumerate_irreducible(n: int) -> list[Word]:
     """All irreducible packed words of length n, canonically ordered."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return [w for w in enumerate_packed(n) if is_irreducible(w)]
+    return [w for w in enumerate_packed(n) if not _cuts(w.letters)]
 
 
 _irreducible_cache: list[int] = [0]

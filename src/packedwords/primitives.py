@@ -77,7 +77,8 @@ def _eliminate(rows: list[dict[int, Fraction]], ncols: int) -> dict[int, dict[in
     # as pivots that are nonzero there, kept up to date under fill-in.
     work = []
     for r in rows:
-        r = {c: Fraction(v) for c, v in r.items() if v}
+        # entries are ints or Fractions, and both have a denominator
+        r = {c: v for c, v in r.items() if v}
         scale = lcm(*(v.denominator for v in r.values()))
         work.append({c: int(v * scale) for c, v in r.items()})
     holders: dict[int, set[int]] = {}

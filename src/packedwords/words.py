@@ -59,7 +59,7 @@ class Word:
     def __init__(self, letters: Iterable[int] = ()) -> None:
         letters = tuple(letters)
         for i in letters:
-            if not isinstance(i, int) or i < 0:
+            if not isinstance(i, int) or isinstance(i, bool) or i < 0:
                 raise ValueError(f"letter index must be an integer >= 0, got {i!r}")
         self.letters = letters
 

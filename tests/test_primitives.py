@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 import sympy
@@ -14,6 +15,7 @@ from packedwords import (
     coproduct,
     count_packed_total,
     delta_plus_matrix,
+    enumerate_packed,
     parse_word,
     primitive_space,
     product,
@@ -307,3 +309,66 @@ class TestEliminationAgainstReference:
         m = integer_matrix(rows, 10)
         assert integer_matrix(shuffled, 10).nullspace() == m.nullspace()
         self.check(m)
+
+
+def permutation_primitive_dims(n_max):
+    # p_1..p_n_max from prod_n (1 - x^n)^(-p_n) = sum_n n! x^n, in integers:
+    # series holds the product over the p_m found so far, so its coefficient
+    # of x^n falls short of n! by exactly p_n
+    p = [0] * (n_max + 1)
+    series = [1] + [0] * n_max
+    for n in range(1, n_max + 1):
+        p[n] = factorial(n) - series[n]
+        # times (1 - x^n)^(-p_n) = sum_j C(p_n + j - 1, j) x^(n j)
+        series = [sum(comb(p[n] + j - 1, j) * series[i - n * j] for j in range(i // n + 1)) for i in range(n_max + 1)]
+    return p[1:]
+
+
+def block_dimension(n, k):
+    # dim Prim_(n,k) from the columns of supremum k alone: the coproduct
+    # keeps length and supremum, so they meet no row of another block
+    cols = [w for w in enumerate_packed(n) if w.sup == k]
+    by_pair = {}
+    for j, w in enumerate(cols):
+        for pair, c in reduced_coproduct(w).terms.items():
+            by_pair.setdefault(pair, {})[j] = c
+    labels = sorted(by_pair)
+    return len(cols) - RationalMatrix(cols, labels, [by_pair[q] for q in labels]).rank()
+
+
+@pytest.fixture(scope="module")
+def by_supremum():
+    # {n: {k: number of basis vectors of primitive_space(n) of supremum k}}
+    counts = {}
+    for n in range(1, 6):
+        per_k = counts[n] = {}
+        for z in primitive_space(n, max_grade=5).vectors:
+            (k,) = {w.sup for w in z.terms}  # one supremum per vector
+            per_k[k] = per_k.get(k, 0) + 1
+    return counts
+
+
+class TestStructuralOracles:
+    """Dimensions of the primitive spaces, block by (length, supremum)."""
+
+    def test_permutation_dimensions_from_n_factorial(self):
+        # the sub-Hopf algebra of permutations is cocommutative, graded and
+        # connected, so by Milnor-Moore and PBW its primitive dimensions p_n
+        # satisfy prod (1 - x^n)^(-p_n) = sum n! x^n
+        assert permutation_primitive_dims(7) == [1, 1, 4, 17, 92, 572, 4156]
+
+    def test_supremum_n_block_is_the_permutation_block(self, by_supremum):
+        # a word of length n and supremum n is a permutation
+        p = permutation_primitive_dims(5)
+        assert [by_supremum[n].get(n, 0) for n in range(1, 6)] == p
+
+    def test_blocks_eliminated_alone_give_the_same_dimensions(self, by_supremum):
+        for n in range(1, 6):
+            dims = {k: block_dimension(n, k) for k in range(n + 1)}
+            assert {k: d for k, d in dims.items() if d} == by_supremum[n], n
+
+    def test_supremum_one_column_is_a_power_of_two(self, by_supremum):
+        # an observation, not an oracle: dim Prim_(n,1) = 2^(n-2) for n >= 2
+        # is conjectured from these values, not proven
+        assert [by_supremum[n].get(1, 0) for n in range(1, 6)] == [1, 1, 2, 4, 8]
+        assert [block_dimension(n, 1) for n in (6, 7)] == [16, 32]

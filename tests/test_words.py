@@ -33,6 +33,13 @@ class TestWordBasics:
         with pytest.raises(ValueError):
             Word([1, "a"])
 
+    @pytest.mark.parametrize("letters", [[True, 2], [False], [1, True]])
+    def test_construction_rejects_bool_letters(self, letters):
+        # True == 1 with the same hash, so a bool letter would make a word
+        # equal to an integer one and share its entries in the pack cache
+        with pytest.raises(ValueError, match="letter index"):
+            Word(letters)
+
     def test_equality_is_letterwise(self):
         assert Word([1, 0, 2]) == Word((1, 0, 2))
         assert Word([1]) != Word([1, 0])
@@ -105,6 +112,10 @@ class TestSubstitute:
 
     def test_erasing_map(self):
         assert substitute({1: 0, 0: 0}, W("1,1")) == W("0,0")
+
+    def test_bool_image_is_an_error(self):
+        with pytest.raises(ValueError, match="letter index"):
+            substitute({1: True}, W("1,0"))
 
     def test_undefined_index_is_an_error(self):
         with pytest.raises(SubstitutionError):
