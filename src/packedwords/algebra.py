@@ -252,8 +252,7 @@ def _factors(letters: Tuple[int, ...]) -> list[Tuple[int, ...]]:
 
 def factor_irreducible(w: Word) -> list[Word]:
     """Unique factorization of a nonempty packed word into irreducibles."""
-    raw = Word._raw
-    return [raw(f) for f in _factors(_nonempty_packed(w, "has no irreducible factorization"))]
+    return list(map(Word._raw, _factors(_nonempty_packed(w, "has no irreducible factorization"))))
 
 
 def _factor_rightmost(letters: Tuple[int, ...]) -> list[Tuple[int, ...]]:

@@ -337,14 +337,16 @@ def block_dimension(n, k):
 
 
 @pytest.fixture(scope="module")
-def by_supremum():
-    # {n: {k: number of basis vectors of primitive_space(n) of supremum k}}
+def bases():
+    return {n: primitive_space(n, max_grade=5).vectors for n in range(1, 6)}
+
+
+def per_supremum(vectors):
+    # {k: number of vectors whose words have supremum k}
     counts = {}
-    for n in range(1, 6):
-        per_k = counts[n] = {}
-        for z in primitive_space(n, max_grade=5).vectors:
-            (k,) = {w.sup for w in z.terms}  # one supremum per vector
-            per_k[k] = per_k.get(k, 0) + 1
+    for z in vectors:
+        k = next(iter(z.terms)).sup
+        counts[k] = counts.get(k, 0) + 1
     return counts
 
 
@@ -357,18 +359,23 @@ class TestStructuralOracles:
         # satisfy prod (1 - x^n)^(-p_n) = sum n! x^n
         assert permutation_primitive_dims(7) == [1, 1, 4, 17, 92, 572, 4156]
 
-    def test_supremum_n_block_is_the_permutation_block(self, by_supremum):
+    def test_each_basis_vector_has_one_supremum(self, bases):
+        for vectors in bases.values():
+            for z in vectors:
+                assert len({w.sup for w in z.terms}) == 1, z.text()
+
+    def test_supremum_n_block_is_the_permutation_block(self, bases):
         # a word of length n and supremum n is a permutation
         p = permutation_primitive_dims(5)
-        assert [by_supremum[n].get(n, 0) for n in range(1, 6)] == p
+        assert [per_supremum(bases[n]).get(n, 0) for n in range(1, 6)] == p
 
-    def test_blocks_eliminated_alone_give_the_same_dimensions(self, by_supremum):
+    def test_blocks_eliminated_alone_give_the_same_dimensions(self, bases):
         for n in range(1, 6):
             dims = {k: block_dimension(n, k) for k in range(n + 1)}
-            assert {k: d for k, d in dims.items() if d} == by_supremum[n], n
+            assert {k: d for k, d in dims.items() if d} == per_supremum(bases[n]), n
 
-    def test_supremum_one_column_is_a_power_of_two(self, by_supremum):
+    def test_supremum_one_column_is_a_power_of_two(self, bases):
         # an observation, not an oracle: dim Prim_(n,1) = 2^(n-2) for n >= 2
         # is conjectured from these values, not proven
-        assert [by_supremum[n].get(1, 0) for n in range(1, 6)] == [1, 1, 2, 4, 8]
+        assert [per_supremum(bases[n]).get(1, 0) for n in range(1, 6)] == [1, 1, 2, 4, 8]
         assert [block_dimension(n, 1) for n in (6, 7)] == [16, 32]
