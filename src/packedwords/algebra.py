@@ -239,10 +239,13 @@ def _factors(letters: Tuple[int, ...]) -> list[Tuple[int, ...]]:
     # the irreducible factors of a nonempty packed word's letters: a cut of a
     # tail is a cut of the whole word, so the word is split at all of its
     # cuts at once, and each piece is shifted down by the supremum of the
-    # letters before it
+    # letters before it; most words have no cut and are their own factor
+    cuts = _cuts(letters)
+    if not cuts:
+        return [letters]
     factors = []
     start = top = 0
-    for i in _cuts(letters) + [len(letters)]:
+    for i in cuts + [len(letters)]:
         piece = letters[start:i]
         factors.append(_lift(piece, -top))
         top = max(top, *piece)

@@ -260,6 +260,32 @@ class TestAgainstOracles:
         for w in words:
             assert coproduct(w) == brute_coproduct(w), w
 
+    def test_kernel_on_the_unit_and_the_single_x0(self):
+        assert coalgebra._delta(()) == {((), ()): 1}
+        assert coalgebra._delta((0,)) == {((0,), ()): 1, ((), (0,)): 1}
+
+    def test_kernel_on_all_words_up_to_length_six(self):
+        for w in words_up_to(6):
+            expected = {(u.letters, v.letters): c for (u, v), c in brute_coproduct(w).terms.items()}
+            assert coalgebra._delta(w.letters) == expected, w
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_coproduct_at_the_cli_length_cap(self, n):
+        # a permutation erases nothing; repeated nonzero letters take the
+        # erase branch; several x0s stay fixed by every quotient
+        rng = random.Random(n)
+        perm = Word(rng.sample(range(1, n + 1), n))
+        repeated = pack(Word(rng.randint(1, n // 3) for _ in range(n)))
+        mixed = [0, 0, 0] + [rng.randint(1, n // 2) for _ in range(n - 3)]
+        rng.shuffle(mixed)
+        zeros = pack(Word(mixed))
+        assert sorted(perm.letters) == list(range(1, n + 1))
+        assert 0 not in repeated.letters and len(set(repeated.letters)) < n
+        assert zeros.letters.count(0) == 3
+        for w in (perm, repeated, zeros):
+            assert len(w) == n
+            assert coproduct(w) == brute_coproduct(w), w
+
     def test_antipode_on_all_short_words(self):
         memo = {}
         for w in words_up_to(5):
