@@ -256,19 +256,3 @@ def _factors(letters: Tuple[int, ...]) -> list[Tuple[int, ...]]:
 def factor_irreducible(w: Word) -> list[Word]:
     """Unique factorization of a nonempty packed word into irreducibles."""
     return list(map(Word._raw, _factors(_nonempty_packed(w, "has no irreducible factorization"))))
-
-
-def _factor_rightmost(letters: Tuple[int, ...]) -> list[Tuple[int, ...]]:
-    # the factors of _factors, computed independently by peeling irreducible
-    # factors off the right, one rightmost cut of the shrinking word at a
-    # time; a cross-check of uniqueness
-    factors = []
-    while True:
-        cuts = _cuts(letters)
-        if not cuts:
-            factors.append(letters)
-            factors.reverse()
-            return factors
-        i = cuts[-1]
-        factors.append(_lift(letters[i:], -max(letters[:i])))
-        letters = letters[:i]

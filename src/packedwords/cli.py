@@ -13,7 +13,7 @@ import argparse
 import sys
 from typing import Callable, Iterable
 
-from .algebra import _cuts, _factor_rightmost, _lift, factor_irreducible, is_irreducible, shifted_concat
+from .algebra import _cuts, _lift, factor_irreducible, is_irreducible, shifted_concat
 from .coalgebra import _shared_memos, antipode, coproduct, verify_antipode, verify_bialgebra, verify_coassociativity
 from .enumeration import (
     count_irreducible,
@@ -111,29 +111,43 @@ def _cmd_antipode(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _factorization_holds(w: Word) -> bool:
-    # round trip, irreducible factors and left greedy = right greedy,
-    # checked on letter tuples
-    factors = [f.letters for f in factor_irreducible(w)]
-    rebuilt, top = (), 0
-    for f in factors:
-        piece = _lift(f, top)
-        rebuilt += piece
-        top = max(top, *piece)
-    return rebuilt == w.letters and not any(map(_cuts, factors)) and factors == _factor_rightmost(w.letters)
+def _factorization_failure(group: tuple[int, list[Word]]) -> "str | None":
+    # each word is its own single factor, or its factors are packed, have no
+    # cut and rebuild it; with i_n of the d_n words of length n having a single
+    # factor at each n, shifted concatenation is then a bijection from sequences
+    # of irreducible words onto packed words (induction on n), whatever _cuts says
+    n, words = group
+    single = 0
+    for w in words:
+        factors = [f.letters for f in factor_irreducible(w)]
+        if factors == [w.letters]:
+            single += 1
+            continue
+        rebuilt, top = (), 0
+        for f in factors:
+            if not f or min(f) < 0 or len(set(f) - {0}) != max(f) or _cuts(f):
+                return w.text()
+            rebuilt += _lift(f, top)
+            top += max(f)
+        if rebuilt != w.letters:
+            return w.text()
+    total, irreducible = count_packed_total(n), count_irreducible(n)
+    if len(words) != total or single != irreducible:
+        return f"{single} irreducible of {len(words)} words, expected {irreducible} of {total}"
+    return None
 
 
-def _sweep(law: str, groups: Iterable[tuple[str, Iterable, str]], holds: Callable, show: Callable) -> bool:
-    # one PASS or FAIL line per (label, cases, size) group; a group stops at
-    # its first failing case
+def _sweep(law: str, groups: Iterable[tuple[str, object, str]], first_failure: Callable) -> bool:
+    # one PASS or FAIL line per (label, cases, size) group; first_failure
+    # gives the text of a group's first failure, or None
     ok = True
     for label, cases, size in groups:
-        bad = next((case for case in cases if not holds(case)), None)
+        bad = first_failure(cases)
         if bad is None:
             print(f"PASS {law} {label} ({size})")
         else:
             ok = False
-            print(f"FAIL {law} {label}: {show(bad)}")
+            print(f"FAIL {law} {label}: {bad}")
     return ok
 
 
@@ -150,21 +164,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             for a, us in lengths
             for b, vs in lengths
         )
-        law = "bialgebra"
         holds = lambda uv: verify_bialgebra(*uv)  # noqa: E731
         show = lambda uv: f"u={uv[0].text()} v={uv[1].text()}"  # noqa: E731
+    elif args.law == "factorization":
+        groups = ((f"length={n}", (n, words), f"{len(words)} words") for n, words in by_length)
     else:
-        law, holds = {
-            "coassoc": ("coassociativity", verify_coassociativity),
-            "antipode": ("antipode", verify_antipode),
-            "factorization": ("factorization", _factorization_holds),
-        }[args.law]
         groups = ((f"length={n}", words, f"{len(words)} words") for n, words in by_length)
-        show = Word.text
+        holds, show = {"coassoc": verify_coassociativity, "antipode": verify_antipode}[args.law], Word.text
+    law = "coassociativity" if args.law == "coassoc" else args.law
+    first_failure = _factorization_failure if args.law == "factorization" else (
+        lambda cases: next((show(case) for case in cases if not holds(case)), None)
+    )
     # the verifier calls of one sweep share the coproducts and antipodes of
     # the words shorter than the one each checks
     with _shared_memos():
-        ok = _sweep(law, groups, holds, show)
+        ok = _sweep(law, groups, first_failure)
     print("ALL PASS" if ok else "FAILURES FOUND")
     return EXIT_OK if ok else EXIT_VERIFY
 

@@ -139,7 +139,7 @@ def count_irreducible(n: int) -> int:
     i_n = d_n - sum_{j<n} i_j*d_{n-j}, computed in plain integers.
     """
     if n < 1:
-        raise ValueError("the unit word is neither irreducible nor reducible")
+        raise ValueError(f"need n >= 1, got {n}")
     global _irreducible_cache
     cache = _irreducible_cache
     if n >= len(cache):
@@ -161,7 +161,7 @@ def count_irreducible_compositions(n: int) -> int:
     count_irreducible.
     """
     if n < 1:
-        raise ValueError("the unit word is neither irreducible nor reducible")
+        raise ValueError(f"need n >= 1, got {n}")
     d = [count_packed_total(m) for m in range(n + 1)]
     total = 0
 

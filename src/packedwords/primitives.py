@@ -164,10 +164,10 @@ class RationalMatrix:
 class PrimitiveBasis:
     """Basis of the primitive space of one grade."""
 
-    def __init__(self, grade: int, dimension: int, vectors: "list[LinComb] | None" = None) -> None:
+    def __init__(self, grade: int, vectors: "list[LinComb]") -> None:
         self.grade = grade
-        self.dimension = dimension
-        self.vectors = [] if vectors is None else vectors
+        self.dimension = len(vectors)
+        self.vectors = vectors
 
     def text(self) -> str:
         lines = [f"grade={self.grade} dim={self.dimension}"]
@@ -239,4 +239,4 @@ def primitive_space(n: int, max_grade: int = DEFAULT_GRADE_CAP) -> PrimitiveBasi
         if not _is_primitive(z, deltas):
             raise ArithmeticError(f"kernel vector is not primitive: {z.text()}")
         vectors.append(z)
-    return PrimitiveBasis(grade=n, dimension=len(vectors), vectors=vectors)
+    return PrimitiveBasis(grade=n, vectors=vectors)

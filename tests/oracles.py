@@ -3,7 +3,9 @@
 Everything here deliberately avoids the code paths it is meant to check:
 packed words are found by filtering raw words or by ordering the blocks of
 set partitions, decompositions by trying every candidate right factor or
-by multiplying out every pair of factors, irreducible counts by explicit
+by multiplying out every pair of factors, factorizations by peeling
+irreducible factors off the right (``_factor_rightmost``, the one oracle
+that reuses the library's cut predicate), irreducible counts by explicit
 composition sums over the packed-word totals, coproducts by listing
 position subsets with the public word operations, antipodes by the
 right-hand recursion, the mirror image of the library's, the series
@@ -36,6 +38,7 @@ from packedwords import (
     shifted_concat,
     subword,
 )
+from packedwords.algebra import _cuts
 
 
 def sweep(max_examples: int) -> settings:
@@ -180,6 +183,27 @@ def brute_factorizations(w: Word) -> list[list[Word]]:
         for rest in brute_factorizations(right):
             results.append([left] + rest)
     return results
+
+
+def _factor_rightmost(letters: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The irreducible factors of a nonempty packed word's letters, peeled
+    off the right one rightmost cut of the shrinking word at a time.
+
+    The one oracle here that calls a library helper, ``_cuts``: it
+    cross-checks the library's splitting at all cuts at once and its shift
+    down, not the cut predicate, which ``brute_cut_table`` checks.
+    """
+    factors = []
+    while True:
+        cuts = _cuts(letters)
+        if not cuts:
+            factors.append(letters)
+            factors.reverse()
+            return factors
+        i = cuts[-1]
+        top = max(letters[:i])
+        factors.append(tuple(x - top if x else 0 for x in letters[i:]))
+        letters = letters[:i]
 
 
 def brute_coproduct(w: Word) -> Tensor2:

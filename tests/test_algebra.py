@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from oracles import brute_cut_table, brute_decompositions, brute_is_irreducible, packed_words, sweep
+from oracles import _factor_rightmost, brute_cut_table, brute_decompositions, brute_is_irreducible, packed_words, sweep
 from packedwords import (
     LinComb,
     NotPackedError,
@@ -17,7 +17,6 @@ from packedwords import (
     product,
     shifted_concat,
 )
-from packedwords.algebra import _factor_rightmost
 
 
 def W(text):

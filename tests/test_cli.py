@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -113,27 +115,76 @@ def _fault_on(real, letters, wrong):
     return faulty
 
 
+class TestPinnedOutput:
+    """Calls whose stdout digest and exit code the benchmark pins in
+    perfbench/pins.json replay byte for byte in-process."""
+
+    PINS = Path(__file__).resolve().parent.parent / "perfbench" / "pins.json"
+
+    @pytest.mark.parametrize(
+        "call",
+        ["product 1 1", "table in --max-n 100", "enumerate 7 --irreducible", "verify factorization --max-len 7"],
+    )
+    def test_output_matches_its_pin(self, capsys, call):
+        pin = json.loads(self.PINS.read_text())["calls"][call]
+        code, out, _ = run(capsys, *call.split())
+        assert (hashlib.sha256(out.encode()).hexdigest(), code) == (pin["sha256"], pin["exit"])
+
+    def test_factorization_up_to_length_zero_checks_nothing(self, capsys):
+        assert run(capsys, "verify", "factorization", "--max-len", "0") == (0, "ALL PASS\n", "")
+
+
 class TestFactorizationFaults:
     """Each check of `verify factorization` catches a fault on one input."""
 
     @pytest.mark.parametrize(
-        "owner,name,letters,wrong,first_fail",
+        "owners,name,letters,wrong,max_len,first_fail",
         [
             # spurious cut 1,2,1 = 1 * 1,0: the round trip gives 1,2,0
-            (algebra, "_cuts", (1, 2, 1), lambda real, ls: [1], "length=3: 1,2,1"),
+            ((algebra,), "_cuts", (1, 2, 1), lambda real, ls: [1], 4, "length=3: 1,2,1"),
             # spurious cut 1,2,1 = 1,2 * (-1): the round trip holds, but the
             # factor 1,2 is reducible
-            (algebra, "_cuts", (1, 2, 1), lambda real, ls: [2], "length=3: 1,2,1"),
+            ((algebra,), "_cuts", (1, 2, 1), lambda real, ls: [2], 4, "length=3: 1,2,1"),
             # a split piece 2 is not shifted down: 1,2 = 1 * 2 rebuilds as 1,3
-            (algebra, "_lift", (2,), lambda real, ls, t: ls if t < 0 else real(ls, t), "length=2: 1,2"),
-            # right-greedy peeling that disagrees with the left one on 0,1
-            (cli, "_factor_rightmost", (0, 1), lambda real, w: real(w)[::-1], "length=2: 0,1"),
+            ((algebra,), "_lift", (2,), lambda real, ls, t: ls if t < 0 else real(ls, t), 4, "length=2: 1,2"),
+            # the cut of 1,1,2 = 1,1 * 1 missed wherever _cuts is asked: the
+            # word is its own factor and has no cut, but one word too many of
+            # length 3 has a single factor
+            (
+                (algebra, cli),
+                "_cuts",
+                (1, 1, 2),
+                lambda real, ls: [],
+                3,
+                "length=3: 11 irreducible of 26 words, expected 10 of 26",
+            ),
+            # spurious cut 2,1 = 2 * (-1) wherever _cuts is asked: the round
+            # trip holds, but neither factor is a packed word
+            ((algebra, cli), "_cuts", (2, 1), lambda real, ls: [1], 2, "length=2: 2,1"),
+            # the early return for a word without cut taken for 1,2, which
+            # has one: only the count notices
+            (
+                (algebra,),
+                "_factors",
+                (1, 2),
+                lambda real, ls: [ls],
+                4,
+                "length=2: 3 irreducible of 6 words, expected 2 of 6",
+            ),
         ],
-        ids=["spurious-cut-round-trip", "spurious-cut-reducible-factor", "wrong-shift-down", "greedy-orders-differ"],
+        ids=[
+            "spurious-cut-round-trip",
+            "spurious-cut-reducible-factor",
+            "wrong-shift-down",
+            "missed-cut-everywhere",
+            "spurious-cut-everywhere",
+            "one-cut-early-return",
+        ],
     )
-    def test_fault_fails_the_law(self, capsys, monkeypatch, owner, name, letters, wrong, first_fail):
-        monkeypatch.setattr(owner, name, _fault_on(getattr(owner, name), letters, wrong))
-        code, out, _ = run(capsys, "verify", "factorization", "--max-len", "4")
+    def test_fault_fails_the_law(self, capsys, monkeypatch, owners, name, letters, wrong, max_len, first_fail):
+        for owner in owners:
+            monkeypatch.setattr(owner, name, _fault_on(getattr(owner, name), letters, wrong))
+        code, out, _ = run(capsys, "verify", "factorization", "--max-len", str(max_len))
         lines = out.splitlines()
         assert code == 1
         assert [line for line in lines if line.startswith("FAIL")][0] == f"FAIL factorization {first_fail}"

@@ -136,11 +136,11 @@ class TestIrreducibleCounts:
         for n in range(1, 21):
             assert count_irreducible(n) == count_irreducible_compositions(n)
 
-    def test_length_zero_rejected(self):
-        with pytest.raises(ValueError):
-            count_irreducible(0)
-        with pytest.raises(ValueError):
-            count_irreducible_compositions(0)
+    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("count", [count_irreducible, count_irreducible_compositions])
+    def test_lengths_below_one_rejected(self, count, n):
+        with pytest.raises(ValueError, match=rf"^need n >= 1, got {n}$"):
+            count(n)
 
     def test_concurrent_callers_see_exact_values(self, monkeypatch):
         # regression: the shared memo was once truncated and refilled in
