@@ -17,9 +17,12 @@ and its kernel comes from one exact elimination:
   already in reduced echelon form over the canonical word basis.
 
 The same elimination gives the rank.  Every kernel vector is then
-re-checked against the coproduct itself, independently of the matrix, in
-integers after clearing its denominators.  No step uses floating point,
-so the reported dimensions and bases carry no numerical tolerance.
+re-checked against the coproduct itself, independently of the matrix, on
+letter tuples and in integers after clearing its denominators.  Each
+vector must also start strictly right of the one before, so the vectors
+are independent; that they span the kernel rests on the elimination's
+rank.  No step uses floating point, so the reported dimensions and bases
+carry no numerical tolerance.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from math import gcd, lcm
 from typing import Tuple
 
 from .algebra import LinComb
-from .coalgebra import coproduct, reduced_coproduct
+from .coalgebra import Letters, Split, _delta, _memo_delta
+from .coalgebra import coproduct, reduced_coproduct  # noqa: F401  kept importable here: perfbench/tracer.py wraps them
 from .enumeration import enumerate_packed
 from .words import Word
 
@@ -185,34 +189,30 @@ def delta_plus_matrix(n: int) -> RationalMatrix:
     if n < 1:
         raise ValueError(f"need a grade n >= 1, got {n}")
     cols = enumerate_packed(n)
-    by_pair: dict[Tuple[Word, Word], dict[int, Fraction]] = {}
+    by_pair: dict[Split, dict[int, int]] = {}
     for j, w in enumerate(cols):
-        for pair, c in reduced_coproduct(w).terms.items():
-            by_pair.setdefault(pair, {})[j] = c
-    labels = sorted(by_pair)
-    return RationalMatrix(col_labels=cols, row_labels=labels, rows=[by_pair[p] for p in labels])
+        for (u, v), c in _delta(w.letters).items():
+            if u and v:
+                by_pair.setdefault((u, v), {})[j] = c
+    # the order of Tensor2._sort_key, that is of Word.__lt__ on each slot
+    splits = sorted(by_pair, key=lambda s: ((len(s[0]), s[0]), (len(s[1]), s[1])))
+    labels = [(Word._raw(u), Word._raw(v)) for u, v in splits]
+    return RationalMatrix(col_labels=cols, row_labels=labels, rows=[by_pair[s] for s in splits])
 
 
-_Pair = Tuple[Tuple[int, ...], Tuple[int, ...]]
-
-
-def _is_primitive(z: LinComb, deltas: dict[Word, dict[_Pair, int]]) -> bool:
+def _is_primitive(z: LinComb, deltas: dict[Letters, dict[Split, int]]) -> bool:
     # independent of the matrix: evaluate the coproduct directly, once per
-    # word (memoised in deltas, keyed by letter tuples), and compare
-    # sum c_w * delta(w) with z (x) e + e (x) z in integers after clearing
-    # the denominators of z
+    # word (memoised in deltas), and compare sum c_w * delta(w) with
+    # z (x) e + e (x) z in integers after clearing the denominators of z;
+    # the words of z are distinct, so each expected term is one coefficient
     scale = lcm(*(c.denominator for c in z.terms.values()))
-    total: dict[_Pair, int] = {}
-    expected: dict[_Pair, int] = {}
+    total: dict[Split, int] = {}
+    expected: dict[Split, int] = {}
     for w, c in z.terms.items():
         a = int(c * scale)
-        delta = deltas.get(w)
-        if delta is None:
-            delta = deltas[w] = {(u.letters, v.letters): m for (u, v), m in coproduct(w).terms.items()}
-        for pair, m in delta.items():
+        for pair, m in _memo_delta(deltas, w.letters).items():
             total[pair] = total.get(pair, 0) + a * m
-        for pair in ((w.letters, ()), ((), w.letters)):
-            expected[pair] = expected.get(pair, 0) + a
+        expected[w.letters, ()] = expected[(), w.letters] = a
     return {pair: v for pair, v in total.items() if v} == expected
 
 
@@ -222,7 +222,9 @@ def primitive_space(n: int, max_grade: int = DEFAULT_GRADE_CAP) -> PrimitiveBasi
     The kernel of the reduced-coproduct matrix is computed by one sparse
     rational elimination and comes out in reduced echelon form over the
     canonical word basis, so the output is deterministic.  Every vector is
-    re-checked directly against the coproduct before being returned.
+    re-checked directly against the coproduct before being returned, and
+    must start strictly right of the one before, so the vectors are
+    independent; that they span the kernel rests on the elimination's rank.
     """
     if n < 1:
         raise ValueError(f"need a grade n >= 1, got {n}")
@@ -231,11 +233,16 @@ def primitive_space(n: int, max_grade: int = DEFAULT_GRADE_CAP) -> PrimitiveBasi
             f"grade {n} exceeds the configured cap {max_grade}; pass a larger max_grade"
         )
     matrix = delta_plus_matrix(n)
-    kernel = matrix.nullspace()
-    deltas: dict[Word, dict[_Pair, int]] = {}
+    deltas: dict[Letters, dict[Split, int]] = {}
     vectors = []
-    for vec in kernel:
-        z = LinComb((w, c) for w, c in zip(matrix.col_labels, vec) if c)
+    last = -1
+    for vec in matrix.nullspace():
+        nonzero = [j for j, c in enumerate(vec) if c]
+        # canonical words with nonzero coefficients: nothing to revalidate
+        z = LinComb._raw({matrix.col_labels[j]: vec[j] for j in nonzero})
+        if not nonzero or nonzero[0] <= last:
+            raise ArithmeticError(f"kernel vectors are not in echelon form: {z.text()}")
+        last = nonzero[0]
         if not _is_primitive(z, deltas):
             raise ArithmeticError(f"kernel vector is not primitive: {z.text()}")
         vectors.append(z)

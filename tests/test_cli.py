@@ -281,11 +281,15 @@ class TestPrimitivesVerb:
         assert "--grade-cap" in err
 
     def test_cap_can_be_raised(self, capsys):
-        code, out, _ = run(capsys, "primitives", "--n", "5", "--grade-cap", "5")
+        call = "primitives --n 5 --grade-cap 5"
+        code, out, _ = run(capsys, *call.split())
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "grade=5 dim=607"
         assert len(lines) == 608
+        # byte for byte as pinned, so grade 5 is run only once in the suite
+        pin = json.loads(TestPinnedOutput.PINS.read_text())["calls"][call]
+        assert (hashlib.sha256(out.encode()).hexdigest(), code) == (pin["sha256"], pin["exit"])
 
 
 class TestEgfCheckVerb:

@@ -5,6 +5,7 @@ from math import comb, factorial
 import pytest
 import sympy
 
+import packedwords.primitives as primitives
 from oracles import _rref
 from packedwords import (
     LinComb,
@@ -107,13 +108,17 @@ class TestDeltaPlusMatrix:
         m = delta_plus_matrix(3)
         assert m.n_cols == 26
 
-    def test_rows_are_occupied_and_sorted(self):
-        m = delta_plus_matrix(3)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rows_are_occupied_and_sorted(self, n):
+        # sorted by Word.__lt__ on each slot, with no label twice
+        m = delta_plus_matrix(n)
         assert all(r for r in m.rows)
-        assert m.row_labels == sorted(m.row_labels)
+        assert m.row_labels == sorted(set(m.row_labels))
 
-    def test_entries_match_reduced_coproduct(self):
-        m = delta_plus_matrix(2)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_entries_match_reduced_coproduct(self, n):
+        m = delta_plus_matrix(n)
+        assert m.col_labels == enumerate_packed(n)
         for j, w in enumerate(m.col_labels):
             t = reduced_coproduct(w)
             for i, pair in enumerate(m.row_labels):
@@ -194,6 +199,16 @@ class TestPrimitiveSpace:
         with pytest.raises(ValueError):
             primitive_space(0)
 
+    def test_does_not_go_through_the_public_coproduct(self, monkeypatch):
+        expected = primitive_space(4).vectors
+
+        def refuse(x):
+            raise AssertionError("primitives called the public coproduct")
+
+        monkeypatch.setattr(primitives, "coproduct", refuse)
+        monkeypatch.setattr(primitives, "reduced_coproduct", refuse)
+        assert primitive_space(4).vectors == expected
+
     def test_header_format(self):
         text = primitive_space(1).text().splitlines()
         assert text[0] == "grade=1 dim=2"
@@ -204,19 +219,31 @@ class TestRecheck:
     """The coproduct re-check inside primitive_space, fed a doctored kernel."""
 
     def doctor(self, monkeypatch, change):
+        # change maps the real kernel, a list of dense vectors, to the doctored one
         real = RationalMatrix.nullspace
-        monkeypatch.setattr(RationalMatrix, "nullspace", lambda self: [change(v) for v in real(self)])
+        monkeypatch.setattr(RationalMatrix, "nullspace", lambda self: change(real(self)))
 
     def test_rejects_a_vector_off_the_kernel(self, monkeypatch):
         # every word of length >= 2 has a nonzero reduced coproduct
-        self.doctor(monkeypatch, lambda v: v[:-1] + [v[-1] + 1])
+        self.doctor(monkeypatch, lambda kernel: [v[:-1] + [v[-1] + 1] for v in kernel])
         with pytest.raises(ArithmeticError, match="not primitive"):
             primitive_space(3)
 
     def test_accepts_rational_multiples(self, monkeypatch):
         plain = primitive_space(3).vectors
-        self.doctor(monkeypatch, lambda v: [x * Fraction(-2, 3) for x in v])
+        self.doctor(monkeypatch, lambda kernel: [[x * Fraction(-2, 3) for x in v] for v in kernel])
         assert primitive_space(3).vectors == [Fraction(-2, 3) * z for z in plain]
+
+    def test_rejects_a_zero_vector(self, monkeypatch):
+        # zero is primitive, so only the independence check can catch it
+        self.doctor(monkeypatch, lambda kernel: kernel + [[Fraction(0)] * len(kernel[0])])
+        with pytest.raises(ArithmeticError, match="not in echelon form"):
+            primitive_space(2)
+
+    def test_rejects_a_repeated_vector(self, monkeypatch):
+        self.doctor(monkeypatch, lambda kernel: kernel + [list(kernel[0])])
+        with pytest.raises(ArithmeticError, match="not in echelon form"):
+            primitive_space(2)
 
 
 class TestSolverInvariance:
