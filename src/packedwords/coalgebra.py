@@ -15,8 +15,7 @@ Everything runs on one private integer kernel: words are plain letter
 tuples and formal sums are dicts from tuples (or pairs and triples of
 tuples) to ``int``s.  ``Word``, ``LinComb`` and ``Tensor2`` are built only
 where a public function returns.  ``primitives`` reads the same kernel
-(``_delta`` and ``_memo_delta``) for its matrix and its re-check, so this
-holds there too.
+(``_delta``) for its matrix and its re-check, so this holds there too.
 
 The kernel's memos (coproducts in ``verify_coassociativity`` and
 ``verify_bialgebra``, antipodes in ``antipode`` and ``verify_antipode``)

@@ -5,8 +5,9 @@ the length-n packed words into the span of nonempty word pairs.  Its
 matrix is assembled sparsely (only pairs that actually occur become rows)
 and its kernel comes from one exact elimination:
 
-- rows are cleared of denominators and reduced in integers, dividing each
-  new row by the gcd of its entries;
+- rows are cleared of denominators into the elimination's own integer
+  copies and cancelled in place, each new row divided by the gcd of its
+  entries;
 - columns are taken from last to first, and each pivot is the remaining
   row with the fewest nonzeros in its column (Markowitz-style), which
   keeps fill-in low and never mixes the matrix's independent (length,
@@ -14,15 +15,18 @@ and its kernel comes from one exact elimination:
 - back-substitution in ascending pivot order leaves each pivot row with
   its leading entry at p and other entries only at free columns left of
   p, so the kernel vector of free column f, e_f - sum_p R[p, f] e_p, is
-  already in reduced echelon form over the canonical word basis.
+  already in reduced echelon form over the canonical word basis.  It is
+  kept sparse, as its nonzero (column, value) pairs in ascending column
+  order, starting with (f, 1).
 
 The same elimination gives the rank.  Every kernel vector is then
 re-checked against the coproduct itself, independently of the matrix, on
-letter tuples and in integers after clearing its denominators.  Each
-vector must also start strictly right of the one before, so the vectors
-are independent; that they span the kernel rests on the elimination's
-rank.  No step uses floating point, so the reported dimensions and bases
-carry no numerical tolerance.
+letter tuples and in integers after clearing its denominators; the split
+pairs are numbered once per call, so the re-check adds up small int keys.
+Each vector must also start strictly right of the one before, so the
+vectors are independent; that they span the kernel rests on the
+elimination's rank.  No step uses floating point, so the reported
+dimensions and bases carry no numerical tolerance.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from math import gcd, lcm
 from typing import Tuple
 
 from .algebra import LinComb
-from .coalgebra import Letters, Split, _delta, _memo_delta
+from .coalgebra import Letters, Split, _delta
 from .coalgebra import coproduct, reduced_coproduct  # noqa: F401  kept importable here: perfbench/tracer.py wraps them
 from .enumeration import enumerate_packed
 from .words import Word
@@ -46,7 +50,6 @@ __all__ = [
     "DEFAULT_GRADE_CAP",
 ]
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 DEFAULT_GRADE_CAP = 6
@@ -56,29 +59,37 @@ class ResourceLimitError(RuntimeError):
     """A computation was refused because it exceeds a configured size cap."""
 
 
-def _cancel(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:
-    # a*row - b*prow with the smallest integers a, b that clear col,
-    # divided by the gcd of its entries, so the integers stay small
+def _cancel(row: dict[int, int], prow: dict[int, int], col: int) -> None:
+    # row <- a*row - b*prow in place, with the smallest integers a, b that
+    # clear col, then divided by the gcd of its entries, so the integers
+    # stay small; row is one of _eliminate's own copies
     lead = prow[col]
     f = row[col]
     g = gcd(lead, f)
     a, b = lead // g, f // g
-    out = {c: a * v for c, v in row.items()}
+    if a != 1:
+        for c in row:
+            row[c] *= a
+    get = row.get
     for c, v in prow.items():
-        nv = out.get(c, 0) - b * v
+        nv = get(c, 0) - b * v
         if nv:
-            out[c] = nv
+            row[c] = nv
         else:
-            del out[c]
-    g = gcd(*out.values())
-    return {c: v // g for c, v in out.items()} if g > 1 else out
+            del row[c]
+    g = gcd(*row.values())
+    if g > 1:
+        for c in row:
+            row[c] //= g
 
 
-def _eliminate(rows: list[dict[int, Fraction]], ncols: int) -> dict[int, dict[int, Fraction]]:
+def _eliminate(rows: list[dict[int, Fraction]], ncols: int) -> dict[int, dict[int, int]]:
     # the one elimination of the module docstring; returns {pivot column p:
-    # row}, where the row stands for a 1 at p plus its entries, all at free
-    # columns left of p.  holders maps each column to the rows not yet used
-    # as pivots that are nonzero there, kept up to date under fill-in.
+    # integer row}, with its leading entry at p and every other entry at a
+    # free column left of p.  The rows are cancelled in place, so they are
+    # copied first and the caller's rows are never touched.  holders maps
+    # each column to the rows not yet used as pivots that are nonzero
+    # there, kept up to date under fill-in.
     work = []
     for r in rows:
         # entries are ints or Fractions, and both have a denominator
@@ -101,7 +112,8 @@ def _eliminate(rows: list[dict[int, Fraction]], ncols: int) -> dict[int, dict[in
         for c in rest:
             holders[c].discard(p)
         for i in live:
-            row = work[i] = _cancel(work[i], prow, col)
+            row = work[i]
+            _cancel(row, prow, col)
             for c in rest:
                 if c in row:
                     holders[c].add(i)
@@ -109,15 +121,11 @@ def _eliminate(rows: list[dict[int, Fraction]], ncols: int) -> dict[int, dict[in
                     holders[c].discard(i)
     # back-substitution in ascending pivot order: the rows of smaller pivots
     # are already reduced, so substituting them brings in free columns only
-    reduced = {}
     for p in sorted(pivots):
         row = pivots[p]
         for q in [c for c in row if c != p and c in pivots]:
-            row = _cancel(row, pivots[q], q)
-        pivots[p] = row
-        lead = row[p]
-        reduced[p] = {c: Fraction(v, lead) for c, v in row.items() if c != p}
-    return reduced
+            _cancel(row, pivots[q], q)
+    return pivots
 
 
 class RationalMatrix:
@@ -146,22 +154,24 @@ class RationalMatrix:
     def rank(self) -> int:
         return len(_eliminate(self.rows, self.n_cols))
 
-    def nullspace(self) -> list[list[Fraction]]:
+    def nullspace(self) -> list[list[Tuple[int, Fraction]]]:
         """Canonical kernel basis: reduced echelon vectors, leading entry 1.
 
-        The vector of free column f is e_f minus the sum of R[p, f] e_p over
-        the pivots p; R[p, f] is nonzero only for f < p, so its first nonzero
-        is the 1 at f and it vanishes at every other free column.  Sorted by
-        f, these vectors are already the kernel's reduced echelon form.
+        Each vector is the list of its nonzero entries as (column, value)
+        pairs in ascending column order.  The vector of free column f is
+        e_f minus the sum of R[p, f] e_p over the pivots p; R[p, f] is
+        nonzero only for f < p, so it starts with (f, 1) and vanishes at
+        every other free column.  Sorted by f, these vectors are already
+        the kernel's reduced echelon form.
         """
-        n = self.n_cols
-        pivots = _eliminate(self.rows, n)
-        basis = {f: [_ZERO] * n for f in range(n) if f not in pivots}
-        for f, vec in basis.items():
-            vec[f] = _ONE
-        for p, row in pivots.items():
+        pivots = _eliminate(self.rows, self.n_cols)
+        basis = {f: [(f, _ONE)] for f in range(self.n_cols) if f not in pivots}
+        for p in sorted(pivots):
+            row = pivots[p]
+            lead = row[p]
             for f, v in row.items():
-                basis[f][p] = -v
+                if f != p:
+                    basis[f].append((p, Fraction(-v, lead)))
         return list(basis.values())  # built in ascending f
 
 
@@ -200,20 +210,27 @@ def delta_plus_matrix(n: int) -> RationalMatrix:
     return RationalMatrix(col_labels=cols, row_labels=labels, rows=[by_pair[s] for s in splits])
 
 
-def _is_primitive(z: LinComb, deltas: dict[Letters, dict[Split, int]]) -> bool:
+def _is_primitive(z: LinComb, deltas: dict[Letters, list[Tuple[int, int]]], ids: dict[Split, int]) -> bool:
     # independent of the matrix: evaluate the coproduct directly, once per
-    # word (memoised in deltas), and compare sum c_w * delta(w) with
-    # z (x) e + e (x) z in integers after clearing the denominators of z;
-    # the words of z are distinct, so each expected term is one coefficient
+    # word, and compare sum c_w * delta(w) with z (x) e + e (x) z in integers
+    # after clearing the denominators of z.  ids numbers the split pairs met
+    # so far and deltas memoises each word's delta as (id, multiplicity)
+    # pairs; the words of z are distinct, so each expected term is one
+    # coefficient
     scale = lcm(*(c.denominator for c in z.terms.values()))
-    total: dict[Split, int] = {}
-    expected: dict[Split, int] = {}
+    total: dict[int, int] = {}
+    expected: dict[int, int] = {}
+    get = total.get
     for w, c in z.terms.items():
-        a = int(c * scale)
-        for pair, m in _memo_delta(deltas, w.letters).items():
-            total[pair] = total.get(pair, 0) + a * m
-        expected[w.letters, ()] = expected[(), w.letters] = a
-    return {pair: v for pair, v in total.items() if v} == expected
+        x = w.letters
+        d = deltas.get(x)
+        if d is None:
+            d = deltas[x] = [(ids.setdefault(pair, len(ids)), m) for pair, m in _delta(x).items()]
+        a = c.numerator * (scale // c.denominator)
+        for i, m in d:
+            total[i] = get(i, 0) + a * m
+        expected[ids[x, ()]] = expected[ids[(), x]] = a
+    return {i: v for i, v in total.items() if v} == expected
 
 
 def primitive_space(n: int, max_grade: int = DEFAULT_GRADE_CAP) -> PrimitiveBasis:
@@ -233,17 +250,20 @@ def primitive_space(n: int, max_grade: int = DEFAULT_GRADE_CAP) -> PrimitiveBasi
             f"grade {n} exceeds the configured cap {max_grade}; pass a larger max_grade"
         )
     matrix = delta_plus_matrix(n)
-    deltas: dict[Letters, dict[Split, int]] = {}
+    cols = matrix.col_labels
+    deltas: dict[Letters, list[Tuple[int, int]]] = {}
+    ids: dict[Split, int] = {}
     vectors = []
     last = -1
     for vec in matrix.nullspace():
-        nonzero = [j for j, c in enumerate(vec) if c]
+        nonzero = {j: c for j, c in vec if c}
         # canonical words with nonzero coefficients: nothing to revalidate
-        z = LinComb._raw({matrix.col_labels[j]: vec[j] for j in nonzero})
-        if not nonzero or nonzero[0] <= last:
+        z = LinComb._raw({cols[j]: c for j, c in nonzero.items()})
+        first = min(nonzero, default=-1)
+        if first <= last:
             raise ArithmeticError(f"kernel vectors are not in echelon form: {z.text()}")
-        last = nonzero[0]
-        if not _is_primitive(z, deltas):
+        last = first
+        if not _is_primitive(z, deltas, ids):
             raise ArithmeticError(f"kernel vector is not primitive: {z.text()}")
         vectors.append(z)
     return PrimitiveBasis(grade=n, vectors=vectors)

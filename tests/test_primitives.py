@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 from math import comb, factorial
@@ -71,6 +72,23 @@ def reference_kernel(matrix):
         vectors.append(vec)
     _, basis = _rref(vectors, n)
     return len(pivots), [[row.get(c, Fraction(0)) for c in range(n)] for row in basis]
+
+
+def dense(vec, n):
+    """A nullspace vector, given as (column, value) pairs, as a list of n values."""
+    out = [Fraction(0)] * n
+    for c, x in vec:
+        out[c] = x
+    return out
+
+
+def check_pair_format(kernel):
+    # nonzero Fractions at strictly ascending columns, led by (f, 1)
+    for vec in kernel:
+        assert vec and vec[0][1] == 1
+        assert all(type(x) is Fraction and x for _, x in vec)
+        cols = [c for c, _ in vec]
+        assert cols == sorted(set(cols))
 
 
 def integer_matrix(rows, n_cols):
@@ -162,7 +180,7 @@ class TestPrimitiveSpace:
     def test_grade_four_kernel_is_sympys_in_reduced_form(self):
         m = delta_plus_matrix(4)
         expected = sympy.Matrix.hstack(*to_sympy(m).nullspace()).T.rref()[0]
-        ours = sympy.Matrix([[sympy.Rational(x) for x in vec] for vec in m.nullspace()])
+        ours = sympy.Matrix([[sympy.Rational(x) for x in dense(vec, m.n_cols)] for vec in m.nullspace()])
         assert ours == expected
 
     def test_rank_nullity_through_grade_four(self):
@@ -219,9 +237,15 @@ class TestRecheck:
     """The coproduct re-check inside primitive_space, fed a doctored kernel."""
 
     def doctor(self, monkeypatch, change):
-        # change maps the real kernel, a list of dense vectors, to the doctored one
+        # change maps the real kernel, as a list of dense vectors, to the
+        # doctored one, which is handed on as nonzero (column, value) pairs
         real = RationalMatrix.nullspace
-        monkeypatch.setattr(RationalMatrix, "nullspace", lambda self: change(real(self)))
+
+        def doctored(self):
+            kernel = change([dense(vec, self.n_cols) for vec in real(self)])
+            return [[(c, x) for c, x in enumerate(vec) if x] for vec in kernel]
+
+        monkeypatch.setattr(RationalMatrix, "nullspace", doctored)
 
     def test_rejects_a_vector_off_the_kernel(self, monkeypatch):
         # every word of length >= 2 has a nonzero reduced coproduct
@@ -244,6 +268,18 @@ class TestRecheck:
         self.doctor(monkeypatch, lambda kernel: kernel + [list(kernel[0])])
         with pytest.raises(ArithmeticError, match="not in echelon form"):
             primitive_space(2)
+
+    def test_skips_explicit_zero_entries(self, monkeypatch):
+        # a (0, 0) pair ahead of every vector: read as a leading entry, it
+        # would break the echelon check, and stored, it would be a zero term
+        plain = primitive_space(3).vectors
+        real = RationalMatrix.nullspace
+        monkeypatch.setattr(
+            RationalMatrix, "nullspace", lambda self: [vec if vec[0][0] == 0 else [(0, Fraction(0))] + vec for vec in real(self)]
+        )
+        vectors = primitive_space(3).vectors
+        assert vectors == plain
+        assert all(c for z in vectors for c in z.terms.values())
 
 
 class TestSolverInvariance:
@@ -271,11 +307,9 @@ class TestSolverInvariance:
             rows=[{perm.index(c): v for c, v in row.items()} for row in m.rows],
         )
         # map the permuted kernel back to the original column order
-        restored = [
-            [vec[perm.index(c)] for c in range(n)] for vec in permuted.nullspace()
-        ]
+        restored = [dense([(perm[j], x) for j, x in vec], n) for vec in permuted.nullspace()]
         a = sympy.Matrix([[sympy.Rational(x) for x in vec] for vec in restored]).rref()[0]
-        b = sympy.Matrix([[sympy.Rational(x) for x in vec] for vec in m.nullspace()]).rref()[0]
+        b = sympy.Matrix([[sympy.Rational(x) for x in dense(vec, n)] for vec in m.nullspace()]).rref()[0]
         assert a == b
 
 
@@ -286,9 +320,9 @@ class TestEliminationAgainstReference:
         rank, kernel = reference_kernel(matrix)
         nullspace = matrix.nullspace()
         assert matrix.rank() == rank
-        assert nullspace == kernel
+        assert [dense(vec, matrix.n_cols) for vec in nullspace] == kernel
         assert rank + len(nullspace) == matrix.n_cols
-        assert all(type(x) is Fraction for vec in nullspace for x in vec)
+        check_pair_format(nullspace)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_reduced_coproduct_grades(self, n):
@@ -303,7 +337,7 @@ class TestEliminationAgainstReference:
     def test_zero_matrix(self):
         m = integer_matrix([{}, {}, {}], 5)
         assert m.rank() == 0
-        assert m.nullspace() == [[Fraction(int(i == j)) for j in range(5)] for i in range(5)]
+        assert m.nullspace() == [[(i, Fraction(1))] for i in range(5)]
         self.check(m)
         self.check(integer_matrix([], 4))
 
@@ -325,6 +359,21 @@ class TestEliminationAgainstReference:
         rng = random.Random(5)
         rows = [{c: Fraction(v, rng.randint(1, 4)) for c, v in row.items()} for row in random_rows(rng, 8, 11, 0.4)]
         self.check(integer_matrix(rows, 11))
+
+    @pytest.mark.parametrize("which", ["grade three", "random rational"])
+    def test_input_rows_are_left_untouched(self, which):
+        # the elimination cancels its own copies of the rows in place
+        if which == "grade three":
+            m = delta_plus_matrix(3)
+        else:
+            rng = random.Random(17)
+            rows = [{c: Fraction(v, rng.randint(1, 5)) for c, v in row.items()} for row in random_rows(rng, 12, 14, 0.4)]
+            m = integer_matrix(rows, 14)
+        before = copy.deepcopy(m.rows)
+        m.rank()
+        kernel = m.nullspace()
+        assert m.rows == before
+        assert m.nullspace() == kernel
 
     @pytest.mark.parametrize("seed", range(4))
     def test_shuffled_rows_give_the_same_kernel(self, seed):
