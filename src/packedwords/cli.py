@@ -5,17 +5,26 @@ output: words render as comma-separated indices ("e" for the empty word),
 formal sums and tensors in their canonical term order.  Exit codes: 0
 success, 1 verification failure or mismatch, 2 malformed input, 3 refused
 resource cap.
+
+The enumeration verbs stream: ``enumerate`` and ``verify factorization``
+take the letter tuples of one length straight from the generator, and
+``enumerate`` writes them in blocks of lines, so neither holds a list of
+the length's words.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Iterable
+from itertools import islice
+from typing import Callable, Iterable, Iterator
 
-from .algebra import _cuts, _lift, factor_irreducible, is_irreducible, shifted_concat
+from . import algebra
+from .algebra import _cuts, _lift, factor_irreducible, shifted_concat
+from .algebra import is_irreducible  # noqa: F401  kept importable here: perfbench/tracer.py wraps cli.is_irreducible
 from .coalgebra import _shared_memos, antipode, coproduct, verify_antipode, verify_bialgebra, verify_coassociativity
 from .enumeration import (
+    _packed_letters,
     count_irreducible,
     count_packed,
     count_packed_total,
@@ -23,7 +32,7 @@ from .enumeration import (
     enumerate_packed,
 )
 from .primitives import ResourceLimitError, primitive_space
-from .words import NotPackedError, Word, WordSyntaxError, parse_word, require_packed
+from .words import NotPackedError, Word, WordSyntaxError, _letters_text, parse_word, require_packed
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -33,6 +42,7 @@ EXIT_RESOURCE = 3
 COPRODUCT_LEN_CAP = 12
 VERIFY_LEN_DEFAULT = 4
 PRIMITIVES_GRADE_DEFAULT = 4
+OUTPUT_BLOCK_LINES = 4096
 
 
 def _packed(text: str) -> Word:
@@ -48,14 +58,26 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     _nonnegative("length", args.n)
     if args.sup is not None:
         _nonnegative("--sup", args.sup)
-    words = enumerate_packed(args.n)
+    words = _packed_letters(args.n)
     if args.sup is not None:
-        words = [w for w in words if w.sup == args.sup]
+        sup = args.sup
+        words = (w for w in words if max(w, default=0) == sup)
     if args.irreducible:
-        words = [w for w in words if len(w) and is_irreducible(w)]
-    for w in words:
-        print(w.text())
+        words = (w for w in words if w and not _cuts(w))
+    _write_lines(map(_letters_text, words))
     return EXIT_OK
+
+
+def _write_lines(lines: Iterator[str]) -> None:
+    # one write per block of lines, not one print per line; sys.stdout is
+    # looked up here, so that a replaced stdout receives the text
+    write = sys.stdout.write
+    while True:
+        block = list(islice(lines, OUTPUT_BLOCK_LINES))
+        if not block:
+            return
+        block.append("")
+        write("\n".join(block))
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -111,29 +133,50 @@ def _cmd_antipode(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _factorization_failure(group: tuple[int, list[Word]]) -> "str | None":
-    # each word is its own single factor, or its factors are packed, have no
-    # cut and rebuild it; with i_n of the d_n words of length n having a single
-    # factor at each n, shifted concatenation is then a bijection from sequences
-    # of irreducible words onto packed words (induction on n), whatever _cuts says
-    n, words = group
-    single = 0
-    for w in words:
-        factors = [f.letters for f in factor_irreducible(w)]
-        if factors == [w.letters]:
+def _is_packed_letters(letters: tuple) -> bool:
+    # the nonzero letters are exactly 1..k for some k >= 0
+    nonzero = set(letters)
+    nonzero.discard(0)
+    return not nonzero or (max(nonzero) == len(nonzero) and min(nonzero) > 0)
+
+
+def _factorization_failure(group: tuple[int, int]) -> "str | None":
+    # the words of length n come in strictly increasing order, so they are
+    # distinct, and each must be packed: with d_n of them they are all the
+    # packed words of length n.  Each is its own single factor, or its
+    # factors are packed, have no cut and rebuild it; with i_n of the d_n
+    # words having a single factor at each n, shifted concatenation is then
+    # a bijection from sequences of irreducible words onto packed words
+    # (induction on n), whatever _cuts says.  _factors is looked up here, at
+    # run time, so that a patched one is the one that runs.
+    n, total = group
+    factors_of = algebra._factors
+    irreducible_factor: dict = {}  # factor letters -> packed, nonempty, no cut
+    count = single = 0
+    previous: tuple = ()
+    for w in _packed_letters(n):
+        if len(w) != n or w <= previous or not _is_packed_letters(w):
+            return _letters_text(w)
+        previous = w
+        count += 1
+        factors = factors_of(w)
+        if len(factors) == 1 and factors[0] == w:
             single += 1
             continue
         rebuilt, top = (), 0
         for f in factors:
-            if not f or min(f) < 0 or len(set(f) - {0}) != max(f) or _cuts(f):
-                return w.text()
+            ok = irreducible_factor.get(f)
+            if ok is None:
+                ok = irreducible_factor[f] = bool(f) and _is_packed_letters(f) and not _cuts(f)
+            if not ok:
+                return _letters_text(w)
             rebuilt += _lift(f, top)
             top += max(f)
-        if rebuilt != w.letters:
-            return w.text()
-    total, irreducible = count_packed_total(n), count_irreducible(n)
-    if len(words) != total or single != irreducible:
-        return f"{single} irreducible of {len(words)} words, expected {irreducible} of {total}"
+        if rebuilt != w:
+            return _letters_text(w)
+    irreducible = count_irreducible(n)
+    if count != total or single != irreducible:
+        return f"{single} irreducible of {count} words, expected {irreducible} of {total}"
     return None
 
 
@@ -155,26 +198,27 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _nonnegative("--max-len", args.max_len)
     # the laws are looked up here, at run time, so that wrapped or patched
     # module attributes are the ones that run
-    first = 1 if args.law == "factorization" else 0
-    by_length = ((n, enumerate_packed(n)) for n in range(first, args.max_len + 1))
-    if args.law == "bialgebra":
-        lengths = list(by_length)
-        groups = (
-            (f"|u|={a} |v|={b}", ((u, v) for u in us for v in vs), f"{len(us) * len(vs)} pairs")
-            for a, us in lengths
-            for b, vs in lengths
-        )
-        holds = lambda uv: verify_bialgebra(*uv)  # noqa: E731
-        show = lambda uv: f"u={uv[0].text()} v={uv[1].text()}"  # noqa: E731
-    elif args.law == "factorization":
-        groups = ((f"length={n}", (n, words), f"{len(words)} words") for n, words in by_length)
+    if args.law == "factorization":
+        # each length's words stream from the generator inside the check
+        totals = [(n, count_packed_total(n)) for n in range(1, args.max_len + 1)]
+        groups = ((f"length={n}", (n, total), f"{total} words") for n, total in totals)
+        first_failure = _factorization_failure
     else:
-        groups = ((f"length={n}", words, f"{len(words)} words") for n, words in by_length)
-        holds, show = {"coassoc": verify_coassociativity, "antipode": verify_antipode}[args.law], Word.text
+        by_length = ((n, enumerate_packed(n)) for n in range(args.max_len + 1))
+        if args.law == "bialgebra":
+            lengths = list(by_length)
+            groups = (
+                (f"|u|={a} |v|={b}", ((u, v) for u in us for v in vs), f"{len(us) * len(vs)} pairs")
+                for a, us in lengths
+                for b, vs in lengths
+            )
+            holds = lambda uv: verify_bialgebra(*uv)  # noqa: E731
+            show = lambda uv: f"u={uv[0].text()} v={uv[1].text()}"  # noqa: E731
+        else:
+            groups = ((f"length={n}", words, f"{len(words)} words") for n, words in by_length)
+            holds, show = {"coassoc": verify_coassociativity, "antipode": verify_antipode}[args.law], Word.text
+        first_failure = lambda cases: next((show(case) for case in cases if not holds(case)), None)  # noqa: E731
     law = "coassociativity" if args.law == "coassoc" else args.law
-    first_failure = _factorization_failure if args.law == "factorization" else (
-        lambda cases: next((show(case) for case in cases if not holds(case)), None)
-    )
     # the verifier calls of one sweep share the coproducts and antipodes of
     # the words shorter than the one each checks
     with _shared_memos():

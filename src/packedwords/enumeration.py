@@ -9,14 +9,17 @@ recurrence its coefficients obey, and the irreducible counts come out of
 the free-monoid structure, either as an inclusion-exclusion over
 compositions or by an integer recurrence.  The words themselves are
 generated depth first in canonical order, pruned so that every prefix
-extends to a packed word.  Everything is exact: every count is an
-arbitrary-precision integer.
+extends to a packed word, as letter tuples from one generator; the CLI
+verbs ``enumerate`` and ``verify factorization`` and
+``enumerate_irreducible`` read it directly, and ``enumerate_packed`` makes
+the list of ``Word``s that the other callers use.  Everything is exact:
+every count is an arbitrary-precision integer.
 """
 
 from __future__ import annotations
 
 from math import comb, factorial
-from typing import Iterator, Tuple
+from typing import Iterable, Iterator, Tuple
 
 from .algebra import _cuts
 from .words import Word
@@ -82,28 +85,50 @@ def _packed_letters(n: int) -> Iterator[Tuple[int, ...]]:
     # depth first: at each position the letters are tried in increasing
     # order, and a letter is allowed only if the letters still missing below
     # the running maximum fit into the positions left after it
-    def extend(prefix: Tuple[int, ...], top: int, seen: int, missing: int, left: int):
-        # seen: bit x set iff letter x occurs in prefix; missing: letters
-        # 1..top absent from prefix; left: positions still to fill, >= 1
-        if missing == left:
-            xs = [x for x in range(1, top + 1) if not seen >> x & 1]
-        else:
-            xs = range(top + left - missing + 1)
-        if left == 1:
-            for x in xs:
-                yield prefix + (x,)
-            return
-        for x in xs:
-            if x > top:
-                yield from extend(prefix + (x,), x, seen | 1 << x, missing + x - top - 1, left - 1)
-            elif not x or seen >> x & 1:
-                yield from extend(prefix + (x,), top, seen, missing, left - 1)
-            else:
-                yield from extend(prefix + (x,), top, seen | 1 << x, missing - 1, left - 1)
-
     if n == 0:
         return iter([()])
-    return extend((), 0, 0, 0, n)
+    return _search(n)
+
+
+def _allowed(top: int, seen: int, missing: int, left: int) -> Iterable[int]:
+    # the letters allowed next after a prefix with maximum top; seen: bit x
+    # set iff letter x occurs in the prefix; missing: letters 1..top absent
+    # from it; left: positions still to fill, >= 1
+    if missing == left:
+        return [x for x in range(1, top + 1) if not seen >> x & 1]
+    return range(top + left - missing + 1)
+
+
+def _search(n: int) -> Iterator[Tuple[int, ...]]:
+    # an explicit stack of (letters still to try, prefix, top, seen, missing,
+    # left) frames, one per prefix on the current path; the last position is
+    # filled here, so each word passes through one generator, not n nested
+    stack = [(iter(_allowed(0, 0, 0, n)), (), 0, 0, 0, n)]
+    while stack:
+        xs, prefix, top, seen, missing, left = stack[-1]
+        x = next(xs, None)
+        if x is None:
+            stack.pop()
+            continue
+        word = prefix + (x,)
+        if left == 1:  # only when n == 1
+            yield word
+            continue
+        if x > top:
+            seen |= 1 << x
+            missing += x - top - 1
+            top = x
+        elif x and not seen >> x & 1:
+            seen |= 1 << x
+            missing -= 1
+        if left > 2:
+            stack.append((iter(_allowed(top, seen, missing, left - 1)), word, top, seen, missing, left - 1))
+        elif missing:
+            # one position and one letter of 1..top left: it goes there
+            yield word + ((~seen & ((2 << top) - 2)).bit_length() - 1,)
+        else:
+            for y in range(top + 2):
+                yield word + (y,)
 
 
 def enumerate_packed(n: int) -> list[Word]:
@@ -125,7 +150,7 @@ def enumerate_irreducible(n: int) -> list[Word]:
     """All irreducible packed words of length n, canonically ordered."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return [w for w in enumerate_packed(n) if not _cuts(w.letters)]
+    return [Word._raw(w) for w in _packed_letters(n) if not _cuts(w)]
 
 
 _irreducible_cache: list[int] = [0]

@@ -44,6 +44,20 @@ class NotPackedError(ValueError):
 
 _INDEX_RE = re.compile(r"[0-9]+\Z")
 
+# str(i) of the small letter indices, looked up rather than formatted; a
+# letter outside the table (larger or negative) falls back to str
+_INDEX_TEXT = {i: str(i) for i in range(64)}
+
+
+def _letters_text(letters: tuple) -> str:
+    """Comma-separated index form of a letter tuple; "e" when empty."""
+    if not letters:
+        return "e"
+    try:
+        return ",".join(map(_INDEX_TEXT.__getitem__, letters))
+    except KeyError:
+        return ",".join(map(str, letters))
+
 
 @total_ordering
 class Word:
@@ -97,9 +111,7 @@ class Word:
 
     def text(self) -> str:
         """Comma-separated index form; the empty word renders as "e"."""
-        if not self.letters:
-            return "e"
-        return ",".join(str(i) for i in self.letters)
+        return _letters_text(self.letters)
 
     def count(self, index: int) -> int:
         """Partial degree: how many times x_index occurs."""

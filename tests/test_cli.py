@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 
 import packedwords.coalgebra as coalgebra
 from oracles import CORRUPTED_WORDS, DELTA_FAULTS, corrupted_delta
-from packedwords import algebra, cli, count_packed, count_packed_total, enumerate_packed, parse_word
+from packedwords import algebra, cli, count_packed, count_packed_total, enumerate_packed, is_irreducible, parse_word
 from packedwords.cli import main
 
 
@@ -69,6 +70,36 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "2", "--irreducible")
         assert code == 0
         assert out.splitlines() == ["1,1", "2,1"]
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_stream_matches_the_word_lists(self, capsys, n):
+        # the streamed output, line for line, against the filters on the
+        # list of Words
+        words = enumerate_packed(n)
+        expected = {(): [w.text() for w in words]}
+        expected[("--irreducible",)] = [w.text() for w in words if len(w) and is_irreducible(w)]
+        for k in range(n + 1):
+            expected[("--sup", str(k))] = [w.text() for w in words if w.sup == k]
+        for flags, lines in expected.items():
+            code, out, _ = run(capsys, "enumerate", str(n), *flags)
+            assert code == 0
+            assert out == "".join(line + "\n" for line in lines), flags
+
+    def test_streams_in_bounded_memory(self, monkeypatch):
+        # the 94 586 words of length 7 are never held at once: a list of
+        # them as Words took about 13 MB
+        class Discard:
+            def write(self, text):
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", Discard())
+        tracemalloc.start()
+        try:
+            assert main(["enumerate", "7"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
 
 class TestTables:
@@ -188,6 +219,26 @@ class TestFactorizationFaults:
         lines = out.splitlines()
         assert code == 1
         assert [line for line in lines if line.startswith("FAIL")][0] == f"FAIL factorization {first_fail}"
+        assert lines[-1] == "FAILURES FOUND"
+
+    @pytest.mark.parametrize(
+        "stream,first_fail",
+        [
+            # 0,1 twice in place of 1,0: both counts still hold
+            ("0,0 0,1 0,1 1,1 1,2 2,1", "length=2: 0,1"),
+            # 1,3 in place of 1,2: not a packed word
+            ("0,0 0,1 1,0 1,1 1,3 2,1", "length=2: 1,3"),
+        ],
+        ids=["duplicate-word", "unpacked-word"],
+    )
+    def test_faulty_stream_fails_the_law(self, capsys, monkeypatch, stream, first_fail):
+        real = cli._packed_letters
+        faulty = [parse_word(text).letters for text in stream.split()]
+        monkeypatch.setattr(cli, "_packed_letters", lambda n: iter(faulty) if n == 2 else real(n))
+        code, out, _ = run(capsys, "verify", "factorization", "--max-len", "3")
+        lines = out.splitlines()
+        assert code == 1
+        assert [line for line in lines if line.startswith("FAIL ")] == [f"FAIL factorization {first_fail}"]
         assert lines[-1] == "FAILURES FOUND"
 
 

@@ -14,6 +14,7 @@ from packedwords import (
     substitute,
     subword,
 )
+from packedwords.words import _letters_text
 
 
 def W(text):
@@ -70,6 +71,18 @@ class TestTextFormat:
     def test_round_trip(self):
         for text in ["e", "0", "1,1,3,0,2", "10,2,0"]:
             assert parse_word(text).text() == text
+
+    @pytest.mark.parametrize(
+        "letters", [(0,), (1, 0, 2), (62, 63), (63, 64), (64,), (5, 1000, 0), (-1, 2), (2**70, 1)]
+    )
+    def test_letters_text_around_the_table_end(self, letters):
+        # small letters are looked up in a table, the others formatted
+        assert _letters_text(letters) == ",".join(map(str, letters))
+        if min(letters) >= 0:
+            assert Word(letters).text() == ",".join(map(str, letters))
+
+    def test_letters_text_of_the_empty_word(self):
+        assert _letters_text(()) == "e"
 
     @pytest.mark.parametrize("bad", ["", "1,-1", "-1", "1.5", "x", "1,,2", "1, 2", "e,1"])
     def test_rejects_malformed(self, bad):
