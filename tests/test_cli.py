@@ -228,8 +228,11 @@ class TestFactorizationFaults:
             ("0,0 0,1 0,1 1,1 1,2 2,1", "length=2: 0,1"),
             # 1,3 in place of 1,2: not a packed word
             ("0,0 0,1 1,0 1,1 1,3 2,1", "length=2: 1,3"),
+            # 2,2 in place of 1,1, last to keep the order: it has no cut, so
+            # both counts still hold, and only the packedness check notices
+            ("0,0 0,1 1,0 1,2 2,1 2,2", "length=2: 2,2"),
         ],
-        ids=["duplicate-word", "unpacked-word"],
+        ids=["duplicate-word", "unpacked-word", "unpacked-single-factor"],
     )
     def test_faulty_stream_fails_the_law(self, capsys, monkeypatch, stream, first_fail):
         real = cli._packed_letters
