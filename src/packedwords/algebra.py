@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Hashable, Iterable, Mapping, Tuple, Union
 
-from .words import Word, require_packed
+from .words import Word, _canonical_key, _lift, require_packed
 
 __all__ = [
     "FormalSum",
@@ -41,11 +41,6 @@ def _collect(terms: Iterable[Tuple[Hashable, object]]) -> dict:
     for k, c in terms:
         acc[k] = get(k, 0) + c
     return {k: c for k, c in acc.items() if c}
-
-
-def _lift(letters: Tuple[int, ...], t: int) -> Tuple[int, ...]:
-    # the letters of a right factor: nonzero ones raised by t, x0 fixed
-    return tuple([i + t if i else 0 for i in letters]) if t else letters
 
 
 def shifted_concat(u: Word, v: Word) -> Word:
@@ -154,8 +149,7 @@ class LinComb(FormalSum):
 
     @staticmethod
     def _sort_key(w: Word) -> Tuple[int, Tuple[int, ...]]:
-        # the order of Word.__lt__
-        return len(w.letters), w.letters
+        return _canonical_key(w.letters)
 
     @classmethod
     def unit(cls) -> "LinComb":

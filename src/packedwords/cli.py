@@ -4,7 +4,8 @@ Every capability is exposed as a verb with plain-text, byte-deterministic
 output: words render as comma-separated indices ("e" for the empty word),
 formal sums and tensors in their canonical term order.  Exit codes: 0
 success, 1 verification failure or mismatch, 2 malformed input, 3 refused
-resource cap.
+resource cap, 4 output that stdout did not take (a closed pipe or a full
+device).
 
 The enumeration verbs stream: ``enumerate`` and ``verify factorization``
 take the letter tuples of one length straight from the generator, and
@@ -15,12 +16,14 @@ the length's words.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import suppress
 from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 from . import algebra
-from .algebra import _cuts, _lift, factor_irreducible, shifted_concat
+from .algebra import _cuts, factor_irreducible, shifted_concat
 from .algebra import is_irreducible  # noqa: F401  kept importable here: perfbench/tracer.py wraps cli.is_irreducible
 from .coalgebra import _shared_memos, antipode, coproduct, verify_antipode, verify_bialgebra, verify_coassociativity
 from .enumeration import (
@@ -32,12 +35,14 @@ from .enumeration import (
     enumerate_packed,
 )
 from .primitives import ResourceLimitError, primitive_space
-from .words import NotPackedError, Word, WordSyntaxError, _letters_text, parse_word, require_packed
+from .words import NotPackedError, Word, WordSyntaxError, _is_packed_letters, _letters_text, _lift
+from .words import parse_word, require_packed
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+_EXIT_OUTPUT = 4
 
 COPRODUCT_LEN_CAP = 12
 VERIFY_LEN_DEFAULT = 4
@@ -52,6 +57,12 @@ def _packed(text: str) -> Word:
 def _nonnegative(name: str, value: int) -> None:
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
+
+
+def _check_cap(what: str, value: int, cap: int, flag: str) -> None:
+    _nonnegative(flag, cap)
+    if value > cap:
+        raise ResourceLimitError(f"{what} {value} exceeds the cap {cap}; raise {flag} explicitly")
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -69,15 +80,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _write_lines(lines: Iterator[str]) -> None:
-    # one write per block of lines, not one print per line; sys.stdout is
-    # looked up here, so that a replaced stdout receives the text
-    write = sys.stdout.write
-    while True:
-        block = list(islice(lines, OUTPUT_BLOCK_LINES))
-        if not block:
-            return
-        block.append("")
-        write("\n".join(block))
+    # one print per block of lines, not one per line
+    while block := list(islice(lines, OUTPUT_BLOCK_LINES)):
+        print("\n".join(block))
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -111,33 +116,12 @@ def _cmd_product(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_length_cap(w: Word, cap: int) -> None:
-    _nonnegative("--max-len", cap)
-    if len(w) > cap:
-        raise ResourceLimitError(
-            f"word length {len(w)} exceeds the cap {cap}; raise --max-len explicitly"
-        )
-
-
-def _cmd_coproduct(args: argparse.Namespace) -> int:
+def _cmd_word_map(args: argparse.Namespace) -> int:
+    # coproduct or antipode, looked up at run time, so that a wrapped one runs
     w = _packed(args.word)
-    _check_length_cap(w, args.max_len)
-    print(coproduct(w).text())
+    _check_cap("word length", len(w), args.max_len, "--max-len")
+    print(globals()[args.verb](w).text())
     return EXIT_OK
-
-
-def _cmd_antipode(args: argparse.Namespace) -> int:
-    w = _packed(args.word)
-    _check_length_cap(w, args.max_len)
-    print(antipode(w).text())
-    return EXIT_OK
-
-
-def _is_packed_letters(letters: tuple) -> bool:
-    # the nonzero letters are exactly 1..k for some k >= 0
-    nonzero = set(letters)
-    nonzero.discard(0)
-    return not nonzero or (max(nonzero) == len(nonzero) and min(nonzero) > 0)
 
 
 def _factorization_failure(group: tuple[int, int]) -> "str | None":
@@ -228,13 +212,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_primitives(args: argparse.Namespace) -> int:
-    _nonnegative("--grade-cap", args.grade_cap)
-    if args.n > args.grade_cap:
-        raise ResourceLimitError(
-            f"grade {args.n} exceeds the cap {args.grade_cap}; raise --grade-cap explicitly"
-        )
-    basis = primitive_space(args.n, max_grade=args.grade_cap)
-    print(basis.text())
+    _check_cap("grade", args.n, args.grade_cap, "--grade-cap")
+    print(primitive_space(args.n, max_grade=args.grade_cap).text())
     return EXIT_OK
 
 
@@ -275,15 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
     p.set_defaults(func=_cmd_product)
 
-    p = sub.add_parser("coproduct", help="selection/quotient coproduct of a packed word")
-    p.add_argument("word")
-    p.add_argument("--max-len", type=int, default=COPRODUCT_LEN_CAP, help="length cap (default %(default)s)")
-    p.set_defaults(func=_cmd_coproduct)
-
-    p = sub.add_parser("antipode", help="antipode of a packed word")
-    p.add_argument("word")
-    p.add_argument("--max-len", type=int, default=COPRODUCT_LEN_CAP, help="length cap (default %(default)s)")
-    p.set_defaults(func=_cmd_antipode)
+    for verb, what in (("coproduct", "selection/quotient coproduct"), ("antipode", "antipode")):
+        p = sub.add_parser(verb, help=f"{what} of a packed word")
+        p.add_argument("word")
+        p.add_argument("--max-len", type=int, default=COPRODUCT_LEN_CAP, help="length cap (default %(default)s)")
+        p.set_defaults(func=_cmd_word_map)
 
     p = sub.add_parser("verify", help="exhaustively verify an algebraic law")
     p.add_argument("law", choices=["coassoc", "bialgebra", "antipode", "factorization"])
@@ -311,13 +286,25 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        with suppress(AttributeError):  # stdout may be None, or a stand-in with no flush
+            sys.stdout.flush()  # so that a write held in its buffer fails here, not at exit
+        return code
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (WordSyntaxError, NotPackedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except OSError as exc:
+        # stdout did not take the output: what it still buffers goes to the null
+        # device, so that the flush at exit cannot fail again (if it has a descriptor)
+        with suppress(AttributeError, OSError, ValueError):
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_OUTPUT
 
 
 if __name__ == "__main__":

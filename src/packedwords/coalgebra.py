@@ -18,8 +18,9 @@ where a public function returns.  ``primitives`` reads the same kernel
 (``_delta``) for its matrix and its re-check, so this holds there too.
 
 The kernel's memos (coproducts in ``verify_coassociativity`` and
-``verify_bialgebra``, antipodes in ``antipode`` and ``verify_antipode``)
-last one call, with one exception: while a CLI ``verify`` sweep runs
+``verify_bialgebra``, a dict that computes a word's coproduct when it is
+first looked up; antipodes in ``antipode`` and ``verify_antipode``) last
+one call, with one exception: while a CLI ``verify`` sweep runs
 (``_shared_memos``, which is thread-local), its verifier calls share the
 entries of the words shorter than the one each checks, and each call
 drops its own word's entries when it returns.  So a sweep that has
@@ -47,9 +48,9 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Tuple, Union
 
-from .algebra import FormalSum, LinComb, _as_lincomb, _collect, _factors, _lift
+from .algebra import FormalSum, LinComb, _as_lincomb, _collect, _factors
 from .algebra import product  # noqa: F401  kept importable here: perfbench/tracer.py wraps coalgebra.product
-from .words import Word, _pack_letters, require_packed
+from .words import Word, _canonical_key, _lift, _pack_letters, require_packed
 
 __all__ = [
     "Tensor2",
@@ -84,9 +85,7 @@ class Tensor2(FormalSum):
 
     @staticmethod
     def _sort_key(pair: Pair) -> Tuple[Tuple[int, Letters], Tuple[int, Letters]]:
-        # the order of Word.__lt__ on each slot
-        u, v = pair
-        return (len(u.letters), u.letters), (len(v.letters), v.letters)
+        return _canonical_key(pair[0].letters), _canonical_key(pair[1].letters)
 
 
 def _delta(letters: Letters) -> dict[Split, int]:
@@ -194,6 +193,13 @@ def antipode(x: Union[Word, LinComb]) -> LinComb:
     return LinComb._raw({raw(s): c for s, c in terms.items()})
 
 
+class _Deltas(dict):
+    # coproducts by letter tuple, each computed on its first lookup (_delta is read then)
+    def __missing__(self, x: Letters) -> dict[Split, int]:
+        d = self[x] = _delta(x)
+        return d
+
+
 # the memos of the verify sweep open on this thread, if any
 _SWEEP = threading.local()
 
@@ -205,12 +211,11 @@ def _shared_memos():
     Each call keeps those of the words shorter than the one it checks and
     drops those of its own length when it returns.
     """
-    previous = getattr(_SWEEP, "memos", None)
-    _SWEEP.memos = ({}, {})
+    _SWEEP.memos = (_Deltas(), {})
     try:
         yield
     finally:
-        _SWEEP.memos = previous
+        _SWEEP.memos = None
 
 
 @contextmanager
@@ -220,7 +225,7 @@ def _memos(*own: Letters):
     # in own (those as long as the checked word) go when the call ends
     shared = getattr(_SWEEP, "memos", None)
     if shared is None:
-        yield {}, {}
+        yield _Deltas(), {}
         return
     try:
         yield shared
@@ -230,11 +235,6 @@ def _memos(*own: Letters):
                 memo.pop(x, None)
 
 
-def _memo_delta(deltas: dict[Letters, dict[Split, int]], x: Letters) -> dict[Split, int]:
-    d = deltas.get(x)
-    if d is None:
-        d = deltas[x] = _delta(x)
-    return d
 
 
 def verify_coassociativity(w: Word) -> bool:
@@ -245,11 +245,11 @@ def verify_coassociativity(w: Word) -> bool:
     lget = left.get
     rget = right.get
     with _memos(w.letters) as (deltas, _):
-        for (u, v), c in _memo_delta(deltas, w.letters).items():
-            for (a, b), c2 in _memo_delta(deltas, u).items():
+        for (u, v), c in deltas[w.letters].items():
+            for (a, b), c2 in deltas[u].items():
                 key = (a, b, v)
                 left[key] = lget(key, 0) + c * c2
-            for (a, b), c2 in _memo_delta(deltas, v).items():
+            for (a, b), c2 in deltas[v].items():
                 key = (u, a, b)
                 right[key] = rget(key, 0) + c * c2
     return left == right
@@ -267,15 +267,15 @@ def verify_bialgebra(u: Word, v: Word) -> bool:
     # a factor is as long as the product when the other one is empty; then
     # it is the product, and its one Δ serves both sides
     with _memos(*(x for x in (a, b) if len(x) == len(uv))) as (deltas, _):
-        left = _delta(uv) if a and b else _memo_delta(deltas, uv)
+        left = _delta(uv) if a and b else deltas[uv]
         # each slot of a term of Δ(a) has a supremum t <= sup(a), so the
         # slots of Δ(b) are lifted once per t: firsts[t] and seconds[t] list
         # them lifted by t, in the order of coeffs
-        terms_b = _memo_delta(deltas, b).items()
+        terms_b = deltas[b].items()
         coeffs = [c for _, c in terms_b]
         firsts = [[_lift(b1, t) for (b1, _), _ in terms_b] for t in range(top + 1)]
         seconds = [[_lift(b2, t) for (_, b2), _ in terms_b] for t in range(top + 1)]
-        for (a1, a2), c1 in _memo_delta(deltas, a).items():
+        for (a1, a2), c1 in deltas[a].items():
             for x, y, c2 in zip(firsts[max(a1, default=0)], seconds[max(a2, default=0)], coeffs):
                 key = (a1 + x, a2 + y)
                 right[key] = get(key, 0) + c1 * c2

@@ -39,7 +39,7 @@ from .algebra import LinComb
 from .coalgebra import Letters, Split, _delta
 from .coalgebra import coproduct, reduced_coproduct  # noqa: F401  kept importable here: perfbench/tracer.py wraps them
 from .enumeration import enumerate_packed
-from .words import Word
+from .words import Word, _canonical_key
 
 __all__ = [
     "ResourceLimitError",
@@ -204,8 +204,7 @@ def delta_plus_matrix(n: int) -> RationalMatrix:
         for (u, v), c in _delta(w.letters).items():
             if u and v:
                 by_pair.setdefault((u, v), {})[j] = c
-    # the order of Tensor2._sort_key, that is of Word.__lt__ on each slot
-    splits = sorted(by_pair, key=lambda s: ((len(s[0]), s[0]), (len(s[1]), s[1])))
+    splits = sorted(by_pair, key=lambda s: (_canonical_key(s[0]), _canonical_key(s[1])))
     labels = [(Word._raw(u), Word._raw(v)) for u, v in splits]
     return RationalMatrix(col_labels=cols, row_labels=labels, rows=[by_pair[s] for s in splits])
 

@@ -5,6 +5,9 @@ special letter that substitutions and shifts always fix.  ``pack`` relabels
 the nonzero indices of a word order-preservingly onto 1..k and is the
 idempotent projector onto packed words, the basis everything else is built
 on.  All values here are immutable and all functions are pure.
+The hot paths run on plain letter tuples, whose rules live here only:
+``_pack_letters``, ``_is_packed_letters``, ``_lift`` (a right factor's
+shift), ``_canonical_key`` (the canonical order) and ``_letters_text``.
 """
 
 from __future__ import annotations
@@ -47,6 +50,11 @@ _INDEX_RE = re.compile(r"[0-9]+\Z")
 # str(i) of the small letter indices, looked up rather than formatted; a
 # letter outside the table (larger or negative) falls back to str
 _INDEX_TEXT = {i: str(i) for i in range(64)}
+
+
+def _canonical_key(letters: tuple) -> tuple:
+    """Sort key of the canonical order: by length, then lexicographically."""
+    return len(letters), letters
 
 
 def _letters_text(letters: tuple) -> str:
@@ -98,7 +106,7 @@ class Word:
     def __lt__(self, other: "Word") -> bool:
         if not isinstance(other, Word):
             return NotImplemented
-        return (len(self.letters), self.letters) < (len(other.letters), other.letters)
+        return _canonical_key(self.letters) < _canonical_key(other.letters)
 
     def __hash__(self) -> int:
         return hash(self.letters)
@@ -177,11 +185,17 @@ def pack(w: Word) -> Word:
     return Word._raw(_pack_letters(w.letters))
 
 
+def _is_packed_letters(letters: tuple) -> bool:
+    # the nonzero letters are exactly 1..k for some k >= 0; a tuple with a
+    # negative letter, which no Word holds, is not packed
+    nonzero = set(letters)
+    nonzero.discard(0)
+    return not nonzero or (max(nonzero) == len(nonzero) and min(nonzero) > 0)
+
+
 def is_packed(w: Word) -> bool:
     """True iff pack(w) = w, i.e. the nonzero indices are exactly 1..k."""
-    nonzero = set(w.letters)
-    nonzero.discard(0)
-    return not nonzero or max(nonzero) == len(nonzero)
+    return _is_packed_letters(w.letters)
 
 
 def require_packed(w: Word) -> Word:
@@ -192,11 +206,16 @@ def require_packed(w: Word) -> Word:
     return w
 
 
+def _lift(letters: tuple, t: int) -> tuple:
+    # nonzero letters raised by t (lowered if t < 0), x0 fixed
+    return tuple([i + t if i else 0 for i in letters]) if t else letters
+
+
 def shift(t: int, w: Word) -> Word:
     """Raise every nonzero letter index by t; x0 stays fixed."""
     if t < 0:
         raise ValueError(f"shift amount must be >= 0, got {t}")
-    return Word._raw(tuple(i + t if i else 0 for i in w.letters))
+    return Word._raw(_lift(w.letters, t))
 
 
 def subword(w: Word, positions: Iterable[int]) -> Word:

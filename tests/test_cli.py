@@ -409,6 +409,20 @@ class TestErrors:
         assert flag in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv,code,err",
+        [
+            (["coproduct", ",".join(["1"] * 13)], 3, "word length 13 exceeds the cap 12; raise --max-len explicitly"),
+            (["antipode", ",".join(["1"] * 13)], 3, "word length 13 exceeds the cap 12; raise --max-len explicitly"),
+            (["primitives", "--n", "6"], 3, "grade 6 exceeds the cap 4; raise --grade-cap explicitly"),
+            (["antipode", "e", "--max-len", "-1"], 2, "--max-len must be >= 0, got -1"),
+            (["primitives", "--n", "1", "--grade-cap", "-1"], 2, "--grade-cap must be >= 0, got -1"),
+        ],
+        ids=["coproduct-length", "antipode-length", "primitives-grade", "antipode-max-len", "primitives-grade-cap"],
+    )
+    def test_cap_refusal_message(self, capsys, argv, code, err):
+        assert run(capsys, *argv) == (code, "", f"error: {err}\n")
+
     def test_unknown_verb_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -439,3 +453,79 @@ class TestDeterminism:
         )
         assert proc.returncode == 0
         assert proc.stdout == "1,1,2\n"
+
+
+def _spawn(argv, **kwargs):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.Popen([sys.executable, "-m", "packedwords", *argv], env=env, stderr=subprocess.PIPE, **kwargs)
+
+
+class TestOutputFailure:
+    """A write to stdout that fails is exit 4, not a verification failure,
+    with at most one error line and no traceback."""
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_pipe_closed_after_one_line(self, monkeypatch, unbuffered):
+        monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+        proc = _spawn(["enumerate", "8"], stdout=subprocess.PIPE)
+        assert proc.stdout.readline() == b"0,0,0,0,0,0,0,0\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (4, b"")
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_pipe_closed_before_the_output(self, monkeypatch, unbuffered):
+        # buffered, the few lines of the table reach the pipe only when
+        # stdout is flushed, which must not be left to the interpreter's exit
+        monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+        proc = _spawn(["table", "dn", "--max-n", "3"], stdout=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (4, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [["enumerate", "2"], ["table", "dn", "--max-n", "3"]], ids=["enumerate", "table"])
+    def test_full_device(self, argv):
+        with open("/dev/full", "w") as full:
+            proc = _spawn(argv, stdout=full)
+            err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 4
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [["enumerate", "2"], ["table", "dn", "--max-n", "3"]], ids=["enumerate", "table"])
+    def test_closed_stdout_is_ignored(self, argv):
+        # with no stdout at all there is nothing to fail: every verb prints
+        # nowhere and exits 0
+        proc = _spawn(argv, stdout=subprocess.DEVNULL, preexec_fn=lambda: os.close(1))
+        assert (proc.wait(timeout=60), proc.stderr.read()) == (0, b"")
+
+
+def test_the_benchmark_trace_points_see_their_calls():
+    # perfbench/tracer.py wraps names where the CLI and primitives look them
+    # up; a deleted import or a function bound before the wrap reads 0 here
+    root = Path(__file__).resolve().parent.parent
+    job = [
+        ["coproduct", "1,1"],
+        ["antipode", "1,2,1"],
+        ["factor", "1,1,2"],
+        ["primitives", "--n", "2"],
+        ["enumerate", "2"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py"), "--trace", "1", "--job", json.dumps(job)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    layers = json.loads(proc.stdout)["layers"]
+    expected = {
+        "coalgebra.coproduct.calls": 1,
+        "coalgebra.antipode.calls": 1,
+        "algebra.factor.calls": 1,
+        "primitives.matrix.cols": 6,
+        "primitives.kernel.dim": 2,
+    }
+    assert {name: layers[name] for name in expected} == expected

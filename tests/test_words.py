@@ -14,7 +14,7 @@ from packedwords import (
     substitute,
     subword,
 )
-from packedwords.words import _letters_text
+from packedwords.words import _is_packed_letters, _letters_text
 
 
 def W(text):
@@ -114,6 +114,16 @@ class TestPack:
             assert pack(p) == p
             assert is_packed(p)
             assert (p == w) == is_packed(w)
+
+    def test_letter_tuples_are_packed_as_their_words(self):
+        for w in all_words(4, 5):
+            assert _is_packed_letters(w.letters) == (pack(w) == w)
+
+    @pytest.mark.parametrize("letters", [(-1, 2), (2, -1), (-1,), (0, -1, 1)])
+    def test_a_negative_letter_is_not_packed(self, letters):
+        # such tuples are no Word's letters, but a faulty factorization can
+        # make them; without the check, (-1, 2) and (2, -1) would pass
+        assert not _is_packed_letters(letters)
 
 
 class TestSubstitute:
