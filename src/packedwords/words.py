@@ -4,8 +4,8 @@ Letters are plain nonnegative integers (the index i of x_i); index 0 is the
 special letter that substitutions and shifts always fix.  ``pack`` relabels
 the nonzero indices of a word order-preservingly onto 1..k and is the
 idempotent projector onto packed words, the basis everything else is built
-on.  All values here are immutable and all functions are pure.
-The hot paths run on plain letter tuples, whose rules live here only:
+on.  All values here are immutable and all functions are pure.  The hot
+paths run on plain letter tuples, whose rules live here only:
 ``_pack_letters``, ``_is_packed_letters``, ``_lift`` (a right factor's
 shift), ``_canonical_key`` (the canonical order) and ``_letters_text``.
 """
