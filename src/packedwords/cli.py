@@ -27,6 +27,7 @@ from .algebra import _cuts, factor_irreducible, shifted_concat
 from .algebra import is_irreducible  # noqa: F401  kept importable here: perfbench/tracer.py wraps cli.is_irreducible
 from .coalgebra import _shared_memos, antipode, coproduct, verify_antipode, verify_bialgebra, verify_coassociativity
 from .enumeration import (
+    _irreducible_letters,
     _packed_letters,
     count_irreducible,
     count_packed,
@@ -69,12 +70,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     _nonnegative("length", args.n)
     if args.sup is not None:
         _nonnegative("--sup", args.sup)
-    words = _packed_letters(args.n)
+    words = (_irreducible_letters if args.irreducible else _packed_letters)(args.n)
     if args.sup is not None:
         sup = args.sup
         words = (w for w in words if max(w, default=0) == sup)
-    if args.irreducible:
-        words = (w for w in words if w and not _cuts(w))
     _write_lines(map(_letters_text, words))
     return EXIT_OK
 
@@ -127,8 +126,11 @@ def _cmd_word_map(args: argparse.Namespace) -> int:
 def _factorization_failure(group: tuple[int, int]) -> "str | None":
     # the words of length n come in strictly increasing order, so they are
     # distinct, and each must be packed: with d_n of them they are all the
-    # packed words of length n.  Each is its own single factor, or its
-    # factors are packed, have no cut and rebuild it; with i_n of the d_n
+    # packed words of length n.  Each is its own single factor, checked
+    # packed here, or its factors are packed, have no cut and rebuild it, and
+    # then it is packed already: a shifted concatenation of packed words is
+    # packed, since each factor's letters 1..k are lifted onto the k letters
+    # just above those before it, and 0 stays 0.  With i_n of the d_n
     # words having a single factor at each n, shifted concatenation is then
     # a bijection from sequences of irreducible words onto packed words
     # (induction on n), whatever _cuts says.  _factors is looked up here, at
@@ -139,12 +141,14 @@ def _factorization_failure(group: tuple[int, int]) -> "str | None":
     count = single = 0
     previous: tuple = ()
     for w in _packed_letters(n):
-        if len(w) != n or w <= previous or not _is_packed_letters(w):
+        if len(w) != n or w <= previous:
             return _letters_text(w)
         previous = w
         count += 1
         factors = factors_of(w)
         if len(factors) == 1 and factors[0] == w:
+            if not _is_packed_letters(w):
+                return _letters_text(w)
             single += 1
             continue
         rebuilt, top = (), 0

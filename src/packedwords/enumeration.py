@@ -7,13 +7,17 @@ Stirling numbers of the second kind.  Totals per length follow the
 exponential generating function e^x/(2-e^x), expanded here by the
 recurrence its coefficients obey, and the irreducible counts come out of
 the free-monoid structure, either as an inclusion-exclusion over
-compositions or by an integer recurrence.  The words themselves are
-generated depth first in canonical order, pruned so that every prefix
-extends to a packed word, as letter tuples from one generator; the CLI
-verbs ``enumerate`` and ``verify factorization`` and
-``enumerate_irreducible`` read it directly, and ``enumerate_packed`` makes
-the list of ``Word``s that the other callers use.  Everything is exact:
-every count is an arbitrary-precision integer.
+compositions or by an integer recurrence; each total d_n is evaluated
+once and kept.  The words themselves are generated depth first in
+canonical order, pruned so that every prefix extends to a packed word, as
+letter tuples from one generator; the CLI verbs ``enumerate`` and
+``verify factorization`` read it directly, and ``enumerate_packed`` makes
+the list of ``Word``s that the other callers use.  The irreducible words
+come from the same search, further pruned so that every prefix extends to
+a packed word with no admissible cut; ``enumerate --irreducible`` and
+``enumerate_irreducible`` read it, so no reducible word is generated and
+then dropped.  Everything is exact: every count is an arbitrary-precision
+integer.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from __future__ import annotations
 from math import comb, factorial
 from typing import Iterable, Iterator, Tuple
 
-from .algebra import _cuts
 from .words import Word
 
 __all__ = [
@@ -75,9 +78,25 @@ def count_packed(n: int, k: int) -> int:
     return stirling2(n + 1, k + 1) * factorial(k)
 
 
+# totals d_0..d_m by the Stirling closed form, built on demand
+_PACKED_TOTALS: list[int] = [1]
+
+
+def _packed_totals(n: int) -> list[int]:
+    # d_0..d_m for some m >= n, each length's sum evaluated once
+    global _PACKED_TOTALS
+    totals = _PACKED_TOTALS
+    if n >= len(totals):
+        # build the longer list first and publish it in one assignment, as
+        # _STIRLING_ROWS is
+        totals = totals + [sum(count_packed(m, k) for k in range(m + 1)) for m in range(len(totals), n + 1)]
+        _PACKED_TOTALS = totals
+    return totals
+
+
 def count_packed_total(n: int) -> int:
     """All packed words of length n."""
-    return sum(count_packed(n, k) for k in range(n + 1))
+    return _packed_totals(n)[n] if n >= 0 else 0
 
 
 def _packed_letters(n: int) -> Iterator[Tuple[int, ...]]:
@@ -131,6 +150,61 @@ def _search(n: int) -> Iterator[Tuple[int, ...]]:
                 yield word + (y,)
 
 
+def _irreducible_letters(n: int) -> Iterator[Tuple[int, ...]]:
+    # letter tuples of the irreducible packed words of length n in
+    # lexicographic order (none at n = 0): the search of _search, pruned of
+    # every prefix that cannot lose its cuts
+    if n < 2:
+        return iter([(0,), (1,)] if n == 1 else [])
+    return _irreducible_search(n)
+
+
+def _irreducible_search(n: int) -> Iterator[Tuple[int, ...]]:
+    # _search's frames with one more integer, cut: the supremum of the prefix
+    # at its earliest admissible cut still open, -1 if none.  A cut of a
+    # packed word splits it into a packed prefix and a suffix whose nonzero
+    # letters lie above the prefix's supremum, so a prefix shorter than n
+    # that is packed opens a cut at its top, and a nonzero letter x <= cut
+    # closes every open cut, since the later ones have suprema >= cut.  A
+    # word comes out only when no cut is open.  The prunes below skip only
+    # prefixes that cannot get there; a first letter 0 (n >= 2) is the first
+    # of them, since it opens a cut that no letter closes.
+    stack = [(iter(range(1, n + 1)), (), 0, 0, 0, n, -1)]
+    while stack:
+        xs, prefix, top, seen, missing, left, cut = stack[-1]
+        x = next(xs, None)
+        if x is None:
+            stack.pop()
+            continue
+        word = prefix + (x,)
+        if 0 < x <= cut:
+            cut = -1
+        if x > top:
+            seen |= 1 << x
+            missing += x - top - 1
+            top = x
+        elif x and not seen >> x & 1:
+            seen |= 1 << x
+            missing -= 1
+        left -= 1
+        if not missing:
+            if cut < 0:
+                cut = top
+        elif missing == left and cut >= 0:
+            # the letters left are forced: the missing ones, all above cut
+            continue
+        if left > 1:
+            stack.append((iter(_allowed(top, seen, missing, left)), word, top, seen, missing, left, cut))
+        elif missing:
+            # the one missing letter goes last
+            if cut < 0:
+                yield word + ((~seen & ((2 << top) - 2)).bit_length() - 1,)
+        else:
+            # the prefix is packed, so a cut is open: only 1..cut closes it
+            for y in range(1, cut + 1):
+                yield word + (y,)
+
+
 def enumerate_packed(n: int) -> list[Word]:
     """All packed words of length n, canonically ordered.
 
@@ -147,10 +221,17 @@ def enumerate_packed(n: int) -> list[Word]:
 
 
 def enumerate_irreducible(n: int) -> list[Word]:
-    """All irreducible packed words of length n, canonically ordered."""
+    """All irreducible packed words of length n, canonically ordered.
+
+    The packed-word search of ``enumerate_packed`` tracks, for each prefix,
+    the supremum at its earliest admissible cut still open, and prunes
+    every prefix whose cut can no longer close: a first letter 0 (for
+    n >= 2), forced letters left while a cut is open, and a last letter
+    outside 1..that supremum.  No packed word with a cut is generated.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return [Word._raw(w) for w in _packed_letters(n) if not _cuts(w)]
+    return list(map(Word._raw, _irreducible_letters(n)))
 
 
 _irreducible_cache: list[int] = [0]
@@ -170,7 +251,7 @@ def count_irreducible(n: int) -> int:
     if n >= len(cache):
         # build the longer list first and publish it in one assignment, so a
         # concurrent caller only ever sees a complete list
-        d = [count_packed_total(m) for m in range(n + 1)]
+        d = _packed_totals(n)
         cache = list(cache)
         for m in range(len(cache), n + 1):
             cache.append(d[m] - sum(cache[j] * d[m - j] for j in range(1, m)))

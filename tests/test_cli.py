@@ -66,20 +66,23 @@ class TestEnumerate:
         assert code == 0
         assert len(out.splitlines()) == count_packed(4, 2)
 
-    def test_irreducible_filter(self, capsys):
-        code, out, _ = run(capsys, "enumerate", "2", "--irreducible")
+    @pytest.mark.parametrize("n,lines", [(0, []), (1, ["0", "1"]), (2, ["1,1", "2,1"])])
+    def test_irreducible_filter(self, capsys, n, lines):
+        code, out, _ = run(capsys, "enumerate", str(n), "--irreducible")
         assert code == 0
-        assert out.splitlines() == ["1,1", "2,1"]
+        assert out.splitlines() == lines
 
     @pytest.mark.parametrize("n", range(7))
     def test_stream_matches_the_word_lists(self, capsys, n):
         # the streamed output, line for line, against the filters on the
         # list of Words
         words = enumerate_packed(n)
+        irreducible = [w for w in words if len(w) and is_irreducible(w)]
         expected = {(): [w.text() for w in words]}
-        expected[("--irreducible",)] = [w.text() for w in words if len(w) and is_irreducible(w)]
+        expected[("--irreducible",)] = [w.text() for w in irreducible]
         for k in range(n + 1):
             expected[("--sup", str(k))] = [w.text() for w in words if w.sup == k]
+            expected[("--irreducible", "--sup", str(k))] = [w.text() for w in irreducible if w.sup == k]
         for flags, lines in expected.items():
             code, out, _ = run(capsys, "enumerate", str(n), *flags)
             assert code == 0

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import brute_packed_words, egf_expansion, partition_packed_words
 from packedwords import enumeration
+from packedwords.algebra import _cuts
 from packedwords import (
     count_irreducible,
     count_irreducible_compositions,
@@ -27,12 +28,12 @@ def W(text):
     return parse_word(text)
 
 
-def climb_together(monkeypatch, table, cold, call, cases, rounds):
+def climb_together(monkeypatch, tables, call, cases, rounds):
     """Faults seen when four threads each check call(n) == want for every case.
 
-    Each round resets the module-level memo ``table`` of ``enumeration`` to
-    ``cold`` first, so the threads grow it together, with a 1 us switch
-    interval.
+    Each round first resets each module-level memo of ``enumeration`` named
+    in ``tables`` to its cold value there, so the threads grow them
+    together, with a 1 us switch interval.
     """
     faults = []
 
@@ -50,7 +51,8 @@ def climb_together(monkeypatch, table, cold, call, cases, rounds):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(rounds):
-            monkeypatch.setattr(enumeration, table, cold)
+            for table, cold in tables.items():
+                monkeypatch.setattr(enumeration, table, cold)
             threads = [threading.Thread(target=caller) for _ in range(4)]
             for t in threads:
                 t.start()
@@ -85,9 +87,11 @@ class TestStirling:
     def test_concurrent_cold_callers_see_exact_values(self, monkeypatch):
         # regression: the shared table was grown in place, so cold concurrent
         # callers could append the same row twice and then raise IndexError
-        # or read a row from the wrong place
+        # or read a row from the wrong place; the memo of totals is reset too,
+        # so that every call reaches the table
         cases = [(n, count_packed_total(n)) for n in range(40)]
-        faults = climb_together(monkeypatch, "_STIRLING_ROWS", [[1]], count_packed_total, cases, rounds=30)
+        cold = {"_STIRLING_ROWS": [[1]], "_PACKED_TOTALS": [1]}
+        faults = climb_together(monkeypatch, cold, count_packed_total, cases, rounds=30)
         assert not faults, faults[:5]
 
     def test_exceeds_machine_words(self):
@@ -105,6 +109,7 @@ class TestCounts:
         assert count_packed_total(0) == 1
         assert count_packed_total(5) == 1082
         assert count_packed_total(10) == 204495126
+        assert count_packed_total(-1) == 0
 
     def test_triangle_identity(self):
         for n in range(13):
@@ -116,6 +121,13 @@ class TestCounts:
     def test_row_sums(self):
         for n in range(13):
             assert sum(count_packed(n, k) for k in range(n + 1)) == count_packed_total(n)
+
+    def test_concurrent_cold_callers_see_exact_totals(self, monkeypatch):
+        # the memo of totals starts cold each round while four threads climb
+        # it, so a list published before it was complete would show
+        cases = [(n, sum(count_packed(n, k) for k in range(n + 1))) for n in range(60)]
+        faults = climb_together(monkeypatch, {"_PACKED_TOTALS": [1]}, count_packed_total, cases, rounds=10)
+        assert not faults, faults[:5]
 
 
 class TestIrreducibleCounts:
@@ -152,8 +164,29 @@ class TestIrreducibleCounts:
         for n in range(1, top + 1):
             expected.append(d[n] - sum(expected[j] * d[n - j] for j in range(1, n)))
         cases = [(n, expected[n]) for n in range(1, top + 1)]
-        faults = climb_together(monkeypatch, "_irreducible_cache", [0], count_irreducible, cases, rounds=10)
+        cold = {"_irreducible_cache": [0], "_PACKED_TOTALS": [1]}
+        faults = climb_together(monkeypatch, cold, count_irreducible, cases, rounds=10)
         assert not faults, faults[:5]
+
+    def test_each_total_is_evaluated_once(self, monkeypatch):
+        # regression: every call that grew the memo summed d_0..d_n afresh, so
+        # n = 1..100 in order evaluated the Stirling sum 5 150 times; each
+        # evaluation asks count_packed for k = 0 once
+        lengths = Counter()
+        real = enumeration.count_packed
+
+        def counted(n, k):
+            if k == 0:
+                lengths[n] += 1
+            return real(n, k)
+
+        monkeypatch.setattr(enumeration, "count_packed", counted)
+        monkeypatch.setattr(enumeration, "_PACKED_TOTALS", [1])
+        monkeypatch.setattr(enumeration, "_irreducible_cache", [0])
+        for n in range(1, 101):
+            count_irreducible(n)
+        assert sum(lengths.values()) <= 101
+        assert max(lengths.values()) == 1
 
 
 class TestEnumeration:
@@ -193,6 +226,14 @@ class TestEnumeration:
             words = enumerate_irreducible(n)
             assert len(words) == count_irreducible(n)
             assert all(is_irreducible(w) for w in words)
+
+    def test_irreducible_search_keeps_what_the_cut_filter_keeps(self):
+        for n in range(1, 8):
+            kept = [w for w in enumeration._packed_letters(n) if not _cuts(w)]
+            assert list(enumeration._irreducible_letters(n)) == kept, n
+
+    def test_irreducible_search_at_length_eight(self):
+        assert sum(1 for _ in enumeration._irreducible_letters(8)) == count_irreducible(8) == 704226
 
     def test_length_zero_irreducible_rejected(self):
         with pytest.raises(ValueError):
