@@ -6,8 +6,9 @@ matrix is assembled sparsely (only pairs that actually occur become rows)
 and its kernel comes from one exact elimination:
 
 - rows are cleared of denominators into the elimination's own integer
-  copies and cancelled in place, each new row divided by the gcd of its
-  entries;
+  copies, one per distinct row (a row identical to one already kept adds
+  nothing to the row space), and cancelled in place, each new row divided
+  by the gcd of its entries;
 - columns are taken from last to first, and each pivot is the remaining
   row with the fewest nonzeros in its column (Markowitz-style), which
   keeps fill-in low and never mixes the matrix's independent (length,
@@ -17,15 +18,18 @@ and its kernel comes from one exact elimination:
   p, so the kernel vector of free column f, e_f - sum_p R[p, f] e_p, is
   already in reduced echelon form over the canonical word basis.  It is
   kept sparse, as its nonzero (column, value) pairs in ascending column
-  order, starting with (f, 1).
+  order, starting with (f, 1); a value is an int when it is an integer
+  and a Fraction only when it is not.
 
 The same elimination gives the rank.  Every kernel vector is then
-re-checked against the coproduct itself, independently of the matrix, on
-letter tuples and in integers after clearing its denominators; the split
-pairs are numbered once per call, so the re-check adds up small int keys.
-Each vector must also start strictly right of the one before, so the
-vectors are independent; that they span the kernel rests on the
-elimination's rank.  No step uses floating point, so the reported
+re-checked against the coproduct itself, in integers after clearing its
+denominators.  The coproduct of each word is evaluated once, when the
+matrix is assembled, and recorded beside the matrix by column, with every
+split pair (the trivial ones too) numbered once; the re-check adds up
+those records and never reads the matrix rows, their order or the
+elimination.  Each vector must also start strictly right of the one
+before, so the vectors are independent; that they span the kernel rests
+on the elimination's rank.  No step uses floating point, so the reported
 dimensions and bases carry no numerical tolerance.
 """
 
@@ -33,10 +37,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Tuple
+from typing import Tuple, Union
 
 from .algebra import LinComb
-from .coalgebra import Letters, Split, _delta
+from .coalgebra import Split, _delta
 from .coalgebra import coproduct, reduced_coproduct  # noqa: F401  kept importable here: perfbench/tracer.py wraps them
 from .enumeration import enumerate_packed
 from .words import Word, _canonical_key
@@ -50,9 +54,10 @@ __all__ = [
     "DEFAULT_GRADE_CAP",
 ]
 
-_ONE = Fraction(1)
-
 DEFAULT_GRADE_CAP = 6
+
+# one column's recorded coproduct; see RationalMatrix
+_Coproduct = Tuple[int, int, Tuple[int, ...], Tuple[int, ...]]
 
 
 class ResourceLimitError(RuntimeError):
@@ -87,15 +92,21 @@ def _eliminate(rows: list[dict[int, Fraction]], ncols: int) -> dict[int, dict[in
     # the one elimination of the module docstring; returns {pivot column p:
     # integer row}, with its leading entry at p and every other entry at a
     # free column left of p.  The rows are cancelled in place, so they are
-    # copied first and the caller's rows are never touched.  holders maps
-    # each column to the rows not yet used as pivots that are nonzero
-    # there, kept up to date under fill-in.
+    # copied first and the caller's rows are never touched; a copy equal,
+    # entry for entry and in the same column order, to one already kept is
+    # dropped, which leaves the row space as it is.  holders maps each
+    # column to the rows not yet used as pivots that are nonzero there,
+    # kept up to date under fill-in.
     work = []
+    seen = set()
     for r in rows:
         # entries are ints or Fractions, and both have a denominator
-        r = {c: v for c, v in r.items() if v}
         scale = lcm(*(v.denominator for v in r.values()))
-        work.append({c: int(v * scale) for c, v in r.items()})
+        row = {c: int(v * scale) for c, v in r.items() if v}
+        key = tuple(row.items())
+        if key not in seen:
+            seen.add(key)
+            work.append(row)
     holders: dict[int, set[int]] = {}
     for i, row in enumerate(work):
         for c in row:
@@ -134,6 +145,16 @@ class RationalMatrix:
     Columns are the packed words of the grade in canonical order; rows are
     the nonempty word pairs that occur in at least one column's reduced
     coproduct, sorted canonically.
+
+    A matrix from delta_plus_matrix also keeps, in the private attribute
+    _coproducts, the full coproduct of each column's word as evaluated
+    for the rows, indexed by column: a tuple (left, right, ids, mults)
+    where ids and mults list the split pairs of the coproduct, numbered
+    once per matrix with the trivial pairs included, and their
+    multiplicities, and left and right are the numbers of the pairs
+    w (x) e and e (x) w.  primitive_space re-checks its kernel against
+    these records instead of evaluating each coproduct a second time.
+    Other matrices have None there.
     """
 
     def __init__(
@@ -142,6 +163,7 @@ class RationalMatrix:
         self.col_labels = col_labels
         self.row_labels = row_labels
         self.rows = rows
+        self._coproducts: list[_Coproduct] | None = None
 
     @property
     def n_rows(self) -> int:
@@ -154,24 +176,27 @@ class RationalMatrix:
     def rank(self) -> int:
         return len(_eliminate(self.rows, self.n_cols))
 
-    def nullspace(self) -> list[list[Tuple[int, Fraction]]]:
+    def nullspace(self) -> list[list[Tuple[int, Union[int, Fraction]]]]:
         """Canonical kernel basis: reduced echelon vectors, leading entry 1.
 
         Each vector is the list of its nonzero entries as (column, value)
-        pairs in ascending column order.  The vector of free column f is
-        e_f minus the sum of R[p, f] e_p over the pivots p; R[p, f] is
-        nonzero only for f < p, so it starts with (f, 1) and vanishes at
-        every other free column.  Sorted by f, these vectors are already
-        the kernel's reduced echelon form.
+        pairs in ascending column order; a value is an int when it is an
+        integer and a Fraction (denominator > 1) when it is not.  The
+        vector of free column f is e_f minus the sum of R[p, f] e_p over
+        the pivots p; R[p, f] is nonzero only for f < p, so it starts with
+        (f, 1) and vanishes at every other free column.  Sorted by f, these
+        vectors are already the kernel's reduced echelon form.
         """
         pivots = _eliminate(self.rows, self.n_cols)
-        basis = {f: [(f, _ONE)] for f in range(self.n_cols) if f not in pivots}
+        basis = {f: [(f, 1)] for f in range(self.n_cols) if f not in pivots}
         for p in sorted(pivots):
             row = pivots[p]
             lead = row[p]
             for f, v in row.items():
                 if f != p:
-                    basis[f].append((p, Fraction(-v, lead)))
+                    # an int where lead divides v, as algebra keeps integers
+                    q, r = divmod(-v, lead)
+                    basis[f].append((p, Fraction(-v, lead) if r else q))
         return list(basis.values())  # built in ascending f
 
 
@@ -194,41 +219,52 @@ def delta_plus_matrix(n: int) -> RationalMatrix:
 
     Rows are indexed only by pairs that occur in some column; all-zero rows
     are therefore never materialized.  Column count equals the number of
-    packed words of length n.
+    packed words of length n.  The coproduct of each column's word is
+    evaluated once, and recorded by column in the matrix's _coproducts
+    for the re-check of primitive_space.
     """
     if n < 1:
         raise ValueError(f"need a grade n >= 1, got {n}")
     cols = enumerate_packed(n)
-    by_pair: dict[Split, dict[int, int]] = {}
+    ids: dict[Split, int] = {}
+    number = ids.setdefault
+    by_id: dict[int, dict[int, int]] = {}
+    coproducts: list[_Coproduct] = []
     for j, w in enumerate(cols):
-        for (u, v), c in _delta(w.letters).items():
-            if u and v:
-                by_pair.setdefault((u, v), {})[j] = c
-    splits = sorted(by_pair, key=lambda s: (_canonical_key(s[0]), _canonical_key(s[1])))
-    labels = [(Word._raw(u), Word._raw(v)) for u, v in splits]
-    return RationalMatrix(col_labels=cols, row_labels=labels, rows=[by_pair[s] for s in splits])
+        x = w.letters
+        delta = _delta(x)
+        split_ids = []
+        for pair, c in delta.items():
+            i = number(pair, len(ids))
+            split_ids.append(i)
+            if pair[0] and pair[1]:
+                by_id.setdefault(i, {})[j] = c
+        left = number((x, ()), len(ids))
+        right = number(((), x), len(ids))
+        coproducts.append((left, right, tuple(split_ids), tuple(delta.values())))
+    pairs = list(ids)  # in the order of their numbers
+    order = sorted(by_id, key=lambda i: (_canonical_key(pairs[i][0]), _canonical_key(pairs[i][1])))
+    labels = [(Word._raw(pairs[i][0]), Word._raw(pairs[i][1])) for i in order]
+    matrix = RationalMatrix(col_labels=cols, row_labels=labels, rows=[by_id[i] for i in order])
+    matrix._coproducts = coproducts
+    return matrix
 
 
-def _is_primitive(z: LinComb, deltas: dict[Letters, list[Tuple[int, int]]], ids: dict[Split, int]) -> bool:
-    # independent of the matrix: evaluate the coproduct directly, once per
-    # word, and compare sum c_w * delta(w) with z (x) e + e (x) z in integers
-    # after clearing the denominators of z.  ids numbers the split pairs met
-    # so far and deltas memoises each word's delta as (id, multiplicity)
-    # pairs; the words of z are distinct, so each expected term is one
-    # coefficient
-    scale = lcm(*(c.denominator for c in z.terms.values()))
+def _is_primitive(z: dict[int, Union[int, Fraction]], coproducts: list[_Coproduct]) -> bool:
+    # z maps column numbers to nonzero coefficients; compare sum c_w * delta(w)
+    # with z (x) e + e (x) z in integers after clearing the denominators of
+    # z, reading each delta(w) from the records of delta_plus_matrix.  The
+    # words of z are distinct, so each expected term is one coefficient
+    scale = lcm(*(c.denominator for c in z.values()))
     total: dict[int, int] = {}
     expected: dict[int, int] = {}
     get = total.get
-    for w, c in z.terms.items():
-        x = w.letters
-        d = deltas.get(x)
-        if d is None:
-            d = deltas[x] = [(ids.setdefault(pair, len(ids)), m) for pair, m in _delta(x).items()]
+    for j, c in z.items():
+        left, right, split_ids, mults = coproducts[j]
         a = c.numerator * (scale // c.denominator)
-        for i, m in d:
+        for i, m in zip(split_ids, mults):
             total[i] = get(i, 0) + a * m
-        expected[ids[x, ()]] = expected[ids[(), x]] = a
+        expected[left] = expected[right] = a
     return {i: v for i, v in total.items() if v} == expected
 
 
@@ -238,9 +274,10 @@ def primitive_space(n: int, max_grade: int = DEFAULT_GRADE_CAP) -> PrimitiveBasi
     The kernel of the reduced-coproduct matrix is computed by one sparse
     rational elimination and comes out in reduced echelon form over the
     canonical word basis, so the output is deterministic.  Every vector is
-    re-checked directly against the coproduct before being returned, and
-    must start strictly right of the one before, so the vectors are
-    independent; that they span the kernel rests on the elimination's rank.
+    re-checked against the coproducts recorded when the matrix was
+    assembled, not against its rows, before being returned, and must start
+    strictly right of the one before, so the vectors are independent; that
+    they span the kernel rests on the elimination's rank.
     """
     if n < 1:
         raise ValueError(f"need a grade n >= 1, got {n}")
@@ -250,8 +287,7 @@ def primitive_space(n: int, max_grade: int = DEFAULT_GRADE_CAP) -> PrimitiveBasi
         )
     matrix = delta_plus_matrix(n)
     cols = matrix.col_labels
-    deltas: dict[Letters, list[Tuple[int, int]]] = {}
-    ids: dict[Split, int] = {}
+    coproducts = matrix._coproducts
     vectors = []
     last = -1
     for vec in matrix.nullspace():
@@ -262,7 +298,7 @@ def primitive_space(n: int, max_grade: int = DEFAULT_GRADE_CAP) -> PrimitiveBasi
         if first <= last:
             raise ArithmeticError(f"kernel vectors are not in echelon form: {z.text()}")
         last = first
-        if not _is_primitive(z, deltas, ids):
+        if not _is_primitive(nonzero, coproducts):
             raise ArithmeticError(f"kernel vector is not primitive: {z.text()}")
         vectors.append(z)
     return PrimitiveBasis(grade=n, vectors=vectors)

@@ -83,10 +83,13 @@ def dense(vec, n):
 
 
 def check_pair_format(kernel):
-    # nonzero Fractions at strictly ascending columns, led by (f, 1)
+    # nonzero values at strictly ascending columns, led by (f, 1); a value
+    # is an int when it is an integer and a Fraction only when it is not
     for vec in kernel:
         assert vec and vec[0][1] == 1
-        assert all(type(x) is Fraction and x for _, x in vec)
+        for _, x in vec:
+            assert x
+            assert type(x) is int or (type(x) is Fraction and x.denominator > 1), repr(x)
         cols = [c for c, _ in vec]
         assert cols == sorted(set(cols))
 
@@ -232,6 +235,21 @@ class TestPrimitiveSpace:
         assert text[0] == "grade=1 dim=2"
         assert text[1:] == ["1*0", "1*1"]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_one_coproduct_per_column(self, n, monkeypatch):
+        # assembly and re-check share one _delta call per packed word
+        calls = []
+        real = primitives._delta
+
+        def counted(letters):
+            calls.append(letters)
+            return real(letters)
+
+        monkeypatch.setattr(primitives, "_delta", counted)
+        primitive_space(n)
+        assert len(calls) == count_packed_total(n)
+        assert sorted(calls) == sorted(w.letters for w in enumerate_packed(n))
+
 
 class TestRecheck:
     """The coproduct re-check inside primitive_space, fed a doctored kernel."""
@@ -267,6 +285,23 @@ class TestRecheck:
     def test_rejects_a_repeated_vector(self, monkeypatch):
         self.doctor(monkeypatch, lambda kernel: kernel + [list(kernel[0])])
         with pytest.raises(ArithmeticError, match="not in echelon form"):
+            primitive_space(2)
+
+    def test_does_not_read_the_matrix_rows(self, monkeypatch):
+        # one entry of one row changed after assembly moves the kernel, and
+        # the re-check, reading the coproducts recorded from _delta, must
+        # notice.  Grade 2, because its four rows are independent: at grade
+        # 3 every row lies in the span of the others, so changing one row
+        # can only shrink the kernel inside the primitive space
+        real = primitives.delta_plus_matrix
+
+        def doctored(n):
+            m = real(n)
+            m.rows[m.row_labels.index((W("1"), W("1")))][m.col_labels.index(W("1,2"))] += 1
+            return m
+
+        monkeypatch.setattr(primitives, "delta_plus_matrix", doctored)
+        with pytest.raises(ArithmeticError, match="not primitive"):
             primitive_space(2)
 
     def test_skips_explicit_zero_entries(self, monkeypatch):
@@ -360,20 +395,71 @@ class TestEliminationAgainstReference:
         rows = [{c: Fraction(v, rng.randint(1, 4)) for c, v in row.items()} for row in random_rows(rng, 8, 11, 0.4)]
         self.check(integer_matrix(rows, 11))
 
+    @staticmethod
+    def sample(which):
+        if which == "grade three":
+            return delta_plus_matrix(3)
+        if which == "random rational":
+            rng = random.Random(17)
+            rows = [{c: Fraction(v, rng.randint(1, 5)) for c, v in row.items()} for row in random_rows(rng, 12, 14, 0.4)]
+            return integer_matrix(rows, 14)
+        # rational multiples of integer rows: a kernel with ints and Fractions
+        rng = random.Random(0)
+        rows = [
+            {c: v * Fraction(rng.choice([-1, 1, 2, 3]), rng.randint(2, 5)) for c, v in row.items()}
+            for row in random_rows(rng, 8, 12, 0.3)
+        ]
+        return integer_matrix(rows, 12)
+
     @pytest.mark.parametrize("which", ["grade three", "random rational"])
     def test_input_rows_are_left_untouched(self, which):
         # the elimination cancels its own copies of the rows in place
-        if which == "grade three":
-            m = delta_plus_matrix(3)
-        else:
-            rng = random.Random(17)
-            rows = [{c: Fraction(v, rng.randint(1, 5)) for c, v in row.items()} for row in random_rows(rng, 12, 14, 0.4)]
-            m = integer_matrix(rows, 14)
+        m = self.sample(which)
         before = copy.deepcopy(m.rows)
         m.rank()
         kernel = m.nullspace()
         assert m.rows == before
         assert m.nullspace() == kernel
+
+    @pytest.mark.parametrize("which", ["grade three", "scaled rational"])
+    def test_integral_entries_are_ints(self, which):
+        # an integral kernel value is an int, never Fraction(k); the grade
+        # three kernel is all integers, the scaled one has both kinds
+        m = self.sample(which)
+        values = [x for vec in m.nullspace() for _, x in vec[1:]]
+        assert values
+        assert all(type(x) is int for x in values if x.denominator == 1)
+        assert all(type(x) is Fraction for x in values if x.denominator > 1)
+        if which == "scaled rational":
+            assert {type(x) for x in values} == {int, Fraction}
+            assert all(type(v) is Fraction for row in m.rows for v in row.values())
+        self.check(m)
+
+    @pytest.mark.parametrize("which", ["grade three", "random rational"])
+    @pytest.mark.parametrize("copies", ["every row twice", "one row three times"])
+    def test_duplicate_rows_change_nothing(self, which, copies):
+        # the elimination keeps one copy of identical rows; the row space,
+        # the rank and the reduced kernel are those of the plain matrix
+        plain = self.sample(which)
+        if copies == "every row twice":
+            rows = [dict(r) for r in plain.rows for _ in range(2)]
+        else:
+            k = len(plain.rows) // 2
+            rows = [dict(r) for r in plain.rows] + [dict(plain.rows[k]), dict(plain.rows[k])]
+        m = integer_matrix(rows, plain.n_cols)
+        before = copy.deepcopy(m.rows)
+        assert m.rank() == plain.rank()
+        assert m.nullspace() == plain.nullspace()
+        assert m.rows == before
+        self.check(m)
+
+    def test_rows_alike_only_in_their_columns_are_kept(self):
+        # only identical rows are dropped, not rows with the same support
+        rows = [{0: 1, 2: 1}, {0: 1, 2: 2}, {0: 2, 2: 1}, {0: 1, 2: 1}]
+        m = integer_matrix(rows, 3)
+        assert m.rank() == 2
+        assert m.nullspace() == [[(1, 1)]]
+        self.check(m)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_shuffled_rows_give_the_same_kernel(self, seed):
