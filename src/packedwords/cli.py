@@ -68,12 +68,16 @@ def _check_cap(what: str, value: int, cap: int, flag: str) -> None:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     _nonnegative("length", args.n)
-    if args.sup is not None:
-        _nonnegative("--sup", args.sup)
-    words = (_irreducible_letters if args.irreducible else _packed_letters)(args.n)
-    if args.sup is not None:
-        sup = args.sup
-        words = (w for w in words if max(w, default=0) == sup)
+    sup = args.sup
+    if sup is not None:
+        _nonnegative("--sup", sup)
+    if not args.irreducible:
+        # pruned to the supremum during the search
+        words = _packed_letters(args.n, sup)
+    else:
+        words = _irreducible_letters(args.n)
+        if sup is not None:
+            words = (w for w in words if max(w, default=0) == sup)
     _write_lines(map(_letters_text, words))
     return EXIT_OK
 

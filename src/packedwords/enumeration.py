@@ -12,7 +12,10 @@ once and kept.  The words themselves are generated depth first in
 canonical order, pruned so that every prefix extends to a packed word, as
 letter tuples from one generator; the CLI verbs ``enumerate`` and
 ``verify factorization`` read it directly, and ``enumerate_packed`` makes
-the list of ``Word``s that the other callers use.  The irreducible words
+the list of ``Word``s that the other callers use.  Given a supremum, the
+same search pins its running maximum there from the start, so only the
+words of that supremum are generated; ``enumerate --sup`` and the
+primitive pipeline's blocks read that mode.  The irreducible words
 come from the same search, further pruned so that every prefix extends to
 a packed word with no admissible cut; ``enumerate --irreducible`` and
 ``enumerate_irreducible`` read it, so no reducible word is generated and
@@ -99,30 +102,40 @@ def count_packed_total(n: int) -> int:
     return _packed_totals(n)[n] if n >= 0 else 0
 
 
-def _packed_letters(n: int) -> Iterator[Tuple[int, ...]]:
-    # letter tuples of all packed words of length n in lexicographic order,
-    # depth first: at each position the letters are tried in increasing
-    # order, and a letter is allowed only if the letters still missing below
-    # the running maximum fit into the positions left after it
+def _packed_letters(n: int, sup: "int | None" = None) -> Iterator[Tuple[int, ...]]:
+    # letter tuples of all packed words of length n, or of those of
+    # supremum sup only, in lexicographic order, depth first: at each
+    # position the letters are tried in increasing order, and a letter is
+    # allowed only if the letters still missing below the running maximum
+    # fit into the positions left after it
+    if sup is not None and not 0 <= sup <= n:
+        return iter([])
     if n == 0:
         return iter([()])
-    return _search(n)
+    return _search(n, sup)
 
 
-def _allowed(top: int, seen: int, missing: int, left: int) -> Iterable[int]:
+def _allowed(top: int, seen: int, missing: int, left: int, pinned: bool = False) -> Iterable[int]:
     # the letters allowed next after a prefix with maximum top; seen: bit x
     # set iff letter x occurs in the prefix; missing: letters 1..top absent
-    # from it; left: positions still to fill, >= 1
+    # from it; left: positions still to fill, >= 1; pinned: top is the
+    # supremum, so no letter goes above it
     if missing == left:
         return [x for x in range(1, top + 1) if not seen >> x & 1]
-    return range(top + left - missing + 1)
+    return range(top + 1 if pinned else top + left - missing + 1)
 
 
-def _search(n: int) -> Iterator[Tuple[int, ...]]:
+def _search(n: int, sup: "int | None") -> Iterator[Tuple[int, ...]]:
     # an explicit stack of (letters still to try, prefix, top, seen, missing,
     # left) frames, one per prefix on the current path; the last position is
-    # filled here, so each word passes through one generator, not n nested
-    stack = [(iter(_allowed(0, 0, 0, n)), (), 0, 0, 0, n)]
+    # filled here, so each word passes through one generator, not n nested.
+    # With a supremum, top starts pinned at it with all of 1..sup missing,
+    # so no letter ever rises above top and only the words of that
+    # supremum are generated
+    pinned = sup is not None
+    top = sup if pinned else 0
+    grow = 0 if pinned else 1
+    stack = [(iter(_allowed(top, 0, top, n, pinned)), (), top, 0, top, n)]
     while stack:
         xs, prefix, top, seen, missing, left = stack[-1]
         x = next(xs, None)
@@ -141,12 +154,12 @@ def _search(n: int) -> Iterator[Tuple[int, ...]]:
             seen |= 1 << x
             missing -= 1
         if left > 2:
-            stack.append((iter(_allowed(top, seen, missing, left - 1)), word, top, seen, missing, left - 1))
+            stack.append((iter(_allowed(top, seen, missing, left - 1, pinned)), word, top, seen, missing, left - 1))
         elif missing:
             # one position and one letter of 1..top left: it goes there
             yield word + ((~seen & ((2 << top) - 2)).bit_length() - 1,)
         else:
-            for y in range(top + 2):
+            for y in range(top + 1 + grow):
                 yield word + (y,)
 
 
@@ -205,19 +218,24 @@ def _irreducible_search(n: int) -> Iterator[Tuple[int, ...]]:
                 yield word + (y,)
 
 
-def enumerate_packed(n: int) -> list[Word]:
-    """All packed words of length n, canonically ordered.
+def enumerate_packed(n: int, sup: "int | None" = None) -> list[Word]:
+    """All packed words of length n, or those of supremum sup, canonically ordered.
 
     Words are generated depth first, letter by letter in increasing order,
     so they come out in canonical order with no sort.  A letter is allowed
     only if the letters still missing below the running maximum fit into
     the positions left; every prefix generated therefore extends to a
     packed word, and each packed word comes out exactly once (the
-    restricted-growth-string search of Knuth, TAOCP 4A, 7.2.1.5).
+    restricted-growth-string search of Knuth, TAOCP 4A, 7.2.1.5).  With
+    sup given, the running maximum starts at sup with every letter 1..sup
+    missing and no letter may exceed it, so only the count_packed(n, sup)
+    words of that supremum are generated (none when sup > n).
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return list(map(Word._raw, _packed_letters(n)))
+    if sup is not None and sup < 0:
+        raise ValueError(f"need sup >= 0, got {sup}")
+    return list(map(Word._raw, _packed_letters(n, sup)))
 
 
 def enumerate_irreducible(n: int) -> list[Word]:

@@ -1,9 +1,14 @@
 """Primitive spaces as exact kernels of the reduced coproduct.
 
 For each grade n the reduced coproduct is a linear map from the span of
-the length-n packed words into the span of nonempty word pairs.  Its
-matrix is assembled sparsely (only pairs that actually occur become rows)
-and its kernel comes from one exact elimination:
+the length-n packed words into the span of nonempty word pairs.  It keeps
+length and supremum, so a row (u, v) meets only the words of supremum
+sup(u) + sup(v), and its matrix is block diagonal by (n, k).
+primitive_space takes the blocks k = 0..n one at a time: each block's
+words are generated, its matrix is assembled sparsely (only pairs that
+actually occur become rows), its kernel comes from one exact elimination
+and is re-checked, and the block is dropped before the next is built.
+The elimination of a matrix, a block or the whole grade:
 
 - rows are cleared of denominators into the elimination's own integer
   copies, one per distinct row (a row identical to one already kept adds
@@ -11,8 +16,8 @@ and its kernel comes from one exact elimination:
   by the gcd of its entries;
 - columns are taken from last to first, and each pivot is the remaining
   row with the fewest nonzeros in its column (Markowitz-style), which
-  keeps fill-in low and never mixes the matrix's independent (length,
-  supremum) blocks;
+  keeps fill-in low; since rows never mix blocks, a block gives the same
+  pivots, fill-in and reduced vectors alone as inside the whole grade;
 - back-substitution in ascending pivot order leaves each pivot row with
   its leading entry at p and other entries only at free columns left of
   p, so the kernel vector of free column f, e_f - sum_p R[p, f] e_p, is
@@ -23,20 +28,25 @@ and its kernel comes from one exact elimination:
 
 The same elimination gives the rank.  Every kernel vector is then
 re-checked against the coproduct itself, in integers after clearing its
-denominators.  The coproduct of each word is evaluated once, when the
-matrix is assembled, and recorded beside the matrix by column, with every
-split pair (the trivial ones too) numbered once; the re-check adds up
-those records and never reads the matrix rows, their order or the
-elimination.  Each vector must also start strictly right of the one
-before, so the vectors are independent; that they span the kernel rests
-on the elimination's rank.  No step uses floating point, so the reported
-dimensions and bases carry no numerical tolerance.
+denominators.  The coproduct of each word is evaluated once, when its
+block is assembled, and recorded beside the block's matrix by column,
+with every split pair (the trivial ones too) numbered once; the re-check
+adds up those records and never reads the matrix rows, their order or
+the elimination.  The blocks' vectors are merged by their leading words,
+and each must start strictly right of the one before in the whole
+grade's canonical order, so the vectors are independent; that they span
+the kernel rests on the elimination's rank.  The whole-grade matrix,
+delta_plus_matrix(n), stays as the slower reference.  No step uses
+floating point, so the reported dimensions and bases carry no numerical
+tolerance.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import merge
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Tuple, Union
 
 from .algebra import LinComb
@@ -140,9 +150,10 @@ def _eliminate(rows: list[dict[int, Fraction]], ncols: int) -> dict[int, dict[in
 
 
 class RationalMatrix:
-    """Sparse exact-rational matrix of the reduced coproduct on one grade.
+    """Sparse exact-rational matrix of the reduced coproduct on one grade or block.
 
-    Columns are the packed words of the grade in canonical order; rows are
+    Columns are the packed words of the grade, or of one (length,
+    supremum) block of it, in canonical order; rows are
     the nonempty word pairs that occur in at least one column's reduced
     coproduct, sorted canonically.
 
@@ -214,18 +225,20 @@ class PrimitiveBasis:
         return "\n".join(lines)
 
 
-def delta_plus_matrix(n: int) -> RationalMatrix:
-    """Matrix of the reduced coproduct on the grade-n word basis.
+def delta_plus_matrix(n: int, sup: "int | None" = None) -> RationalMatrix:
+    """Matrix of the reduced coproduct on the grade-n word basis, or on one block.
 
     Rows are indexed only by pairs that occur in some column; all-zero rows
     are therefore never materialized.  Column count equals the number of
-    packed words of length n.  The coproduct of each column's word is
-    evaluated once, and recorded by column in the matrix's _coproducts
-    for the re-check of primitive_space.
+    packed words of length n, or, with sup given, of length n and supremum
+    sup: the (n, sup) block, whose words meet no row of another block,
+    since the coproduct keeps length and supremum.  The coproduct of each
+    column's word is evaluated once, and recorded by column in the
+    matrix's _coproducts for the re-check of primitive_space.
     """
     if n < 1:
         raise ValueError(f"need a grade n >= 1, got {n}")
-    cols = enumerate_packed(n)
+    cols = enumerate_packed(n, sup)
     ids: dict[Split, int] = {}
     number = ids.setdefault
     by_id: dict[int, dict[int, int]] = {}
@@ -268,16 +281,39 @@ def _is_primitive(z: dict[int, Union[int, Fraction]], coproducts: list[_Coproduc
     return {i: v for i, v in total.items() if v} == expected
 
 
+def _checked_kernel(matrix: RationalMatrix) -> list[Tuple[tuple, LinComb]]:
+    # the kernel vectors of one block, in the order nullspace gives them,
+    # each re-checked against the block's recorded coproducts and paired
+    # with the canonical key of its leading word, its free column
+    cols = matrix.col_labels
+    coproducts = matrix._coproducts
+    out = []
+    for vec in matrix.nullspace():
+        nonzero = {j: c for j, c in vec if c}
+        # canonical words with nonzero coefficients: nothing to revalidate
+        z = LinComb._raw({cols[j]: c for j, c in nonzero.items()})
+        if not nonzero:
+            raise ArithmeticError(f"kernel vectors are not in echelon form: {z.text()}")
+        if not _is_primitive(nonzero, coproducts):
+            raise ArithmeticError(f"kernel vector is not primitive: {z.text()}")
+        out.append((_canonical_key(cols[min(nonzero)].letters), z))
+    return out
+
+
 def primitive_space(n: int, max_grade: int = DEFAULT_GRADE_CAP) -> PrimitiveBasis:
     """Exact basis of the primitive elements of grade n.
 
-    The kernel of the reduced-coproduct matrix is computed by one sparse
-    rational elimination and comes out in reduced echelon form over the
-    canonical word basis, so the output is deterministic.  Every vector is
-    re-checked against the coproducts recorded when the matrix was
-    assembled, not against its rows, before being returned, and must start
-    strictly right of the one before, so the vectors are independent; that
-    they span the kernel rests on the elimination's rank.
+    The reduced coproduct keeps length and supremum, so its matrix is block
+    diagonal by (n, k).  Each block k = 0..n is assembled, eliminated by
+    one sparse rational elimination and re-checked alone, and dropped
+    before the next is built; its kernel comes out in reduced echelon form
+    over the block's words in canonical order.  Every vector is re-checked
+    against the coproducts recorded when its block was assembled, not
+    against the rows.  The blocks' vectors are then merged by their leading
+    words, and each must start strictly right of the one before in the
+    canonical order of the whole grade, so the vectors are independent and
+    the output is the whole grade's reduced echelon basis; that they span
+    the kernel rests on the elimination's rank.
     """
     if n < 1:
         raise ValueError(f"need a grade n >= 1, got {n}")
@@ -285,20 +321,14 @@ def primitive_space(n: int, max_grade: int = DEFAULT_GRADE_CAP) -> PrimitiveBasi
         raise ResourceLimitError(
             f"grade {n} exceeds the configured cap {max_grade}; pass a larger max_grade"
         )
-    matrix = delta_plus_matrix(n)
-    cols = matrix.col_labels
-    coproducts = matrix._coproducts
+    # no block's matrix outlives its own _checked_kernel call
+    blocks = [_checked_kernel(delta_plus_matrix(n, k)) for k in range(n + 1)]
     vectors = []
-    last = -1
-    for vec in matrix.nullspace():
-        nonzero = {j: c for j, c in vec if c}
-        # canonical words with nonzero coefficients: nothing to revalidate
-        z = LinComb._raw({cols[j]: c for j, c in nonzero.items()})
-        first = min(nonzero, default=-1)
-        if first <= last:
+    last = None
+    # merge, not sort: a block whose vectors are out of order stays so
+    for key, z in merge(*blocks, key=itemgetter(0)):
+        if last is not None and key <= last:
             raise ArithmeticError(f"kernel vectors are not in echelon form: {z.text()}")
-        last = first
-        if not _is_primitive(nonzero, coproducts):
-            raise ArithmeticError(f"kernel vector is not primitive: {z.text()}")
+        last = key
         vectors.append(z)
     return PrimitiveBasis(grade=n, vectors=vectors)

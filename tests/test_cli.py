@@ -88,6 +88,41 @@ class TestEnumerate:
             assert code == 0
             assert out == "".join(line + "\n" for line in lines), flags
 
+    # SHA-256 of the stdouts of `enumerate N --sup K` for K = 0..N+1, one
+    # after the other, as printed when --sup filtered every word of the
+    # length
+    SUP_DIGESTS = [
+        "a2bbdb2de53523b8099b37013f251546f3d65dbe7a0774fa41af0a4176992fd4",
+        "82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae",
+        "7c1bf28c922de49383f6388a4f60fd96288420a7537861ce8dfa454c8616f84f",
+        "b425e5ef2749a0df3c153db83c4dbe4d1b38853d4b193acd2e69e65525d3995b",
+        "6c2edf8ce25b10221d8bb169b1d46ebd1b24ac58d1e65d3cbf24bb3c33aade48",
+        "133757c574685c1d43892b67d5c61c0fb4626997d3335ba0389faca893010968",
+        "5f3639f81245cae0bda25d3ec004f3a6dc65c0cfb3b38824ee76a202fda38781",
+        "ad588090c50b3e4da6a5c72a19c698b5ad0737d90b4eb7d975c05130871fd70d",
+        "be873eca39069127f1c541e45ae15e626bf8ce622117255d3ec84f1d73d97d59",
+    ]
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_sup_output_is_unchanged(self, n, monkeypatch):
+        # the search pruned to the supremum prints what the filter did,
+        # d(n, k) lines for each k
+        digest = hashlib.sha256()
+        lines = []
+
+        class Sink:
+            def write(self, text):
+                digest.update(text.encode())
+                lines[-1] += text.count("\n")
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", Sink())
+        for k in range(n + 2):
+            lines.append(0)
+            assert main(["enumerate", str(n), "--sup", str(k)]) == 0
+        assert lines == [count_packed(n, k) for k in range(n + 2)]
+        assert digest.hexdigest() == self.SUP_DIGESTS[n]
+
     def test_streams_in_bounded_memory(self, monkeypatch):
         # the 94 586 words of length 7 are never held at once: a list of
         # them as Words took about 13 MB

@@ -218,6 +218,30 @@ class TestEnumeration:
             for k in range(n + 1):
                 assert by_sup.get(k, 0) == count_packed(n, k)
 
+    @pytest.mark.parametrize("n", range(8))
+    def test_supremum_search_is_the_filter(self, n):
+        # the search with its supremum pinned yields exactly the words of
+        # the full search with that supremum, in the same order, and
+        # nothing above the length
+        full = list(enumeration._packed_letters(n))
+        for k in range(n + 3):
+            words = list(enumeration._packed_letters(n, k))
+            assert words == [w for w in full if max(w, default=0) == k], k
+            assert len(words) == count_packed(n, k), k
+
+    def test_length_zero_by_supremum(self):
+        assert list(enumeration._packed_letters(0, 0)) == [()]
+        assert list(enumeration._packed_letters(0, 1)) == []
+        assert enumerate_packed(0, 0) == [W("e")]
+
+    def test_enumerate_packed_by_supremum(self):
+        for n in range(6):
+            words = enumerate_packed(n)
+            for k in range(n + 2):
+                assert enumerate_packed(n, k) == [w for w in words if w.sup == k], (n, k)
+        with pytest.raises(ValueError):
+            enumerate_packed(3, -1)
+
     def test_irreducible_enumeration(self):
         assert enumerate_irreducible(1) == [W("0"), W("1")]
         assert enumerate_irreducible(2) == [W("1,1"), W("2,1")]

@@ -1,5 +1,6 @@
 import copy
 import random
+import weakref
 from fractions import Fraction
 from math import comb, factorial
 
@@ -10,11 +11,13 @@ import packedwords.primitives as primitives
 from oracles import _rref
 from packedwords import (
     LinComb,
+    PrimitiveBasis,
     RationalMatrix,
     ResourceLimitError,
     Tensor2,
     Word,
     coproduct,
+    count_packed,
     count_packed_total,
     delta_plus_matrix,
     enumerate_packed,
@@ -72,6 +75,10 @@ def reference_kernel(matrix):
         vectors.append(vec)
     _, basis = _rref(vectors, n)
     return len(pivots), [[row.get(c, Fraction(0)) for c in range(n)] for row in basis]
+
+
+def nnz(matrix):
+    return sum(len(row) for row in matrix.rows)
 
 
 def dense(vec, n):
@@ -255,37 +262,47 @@ class TestRecheck:
     """The coproduct re-check inside primitive_space, fed a doctored kernel."""
 
     def doctor(self, monkeypatch, change):
-        # change maps the real kernel, as a list of dense vectors, to the
-        # doctored one, which is handed on as nonzero (column, value) pairs
+        # change maps the real kernel of one matrix, as a list of dense
+        # vectors, and its column count to the doctored kernel, which is
+        # handed on as nonzero (column, value) pairs.  primitive_space calls
+        # nullspace once per (length, supremum) block, so the fault goes
+        # into every block, those with an empty kernel too
         real = RationalMatrix.nullspace
 
         def doctored(self):
-            kernel = change([dense(vec, self.n_cols) for vec in real(self)])
+            kernel = change([dense(vec, self.n_cols) for vec in real(self)], self.n_cols)
             return [[(c, x) for c, x in enumerate(vec) if x] for vec in kernel]
 
         monkeypatch.setattr(RationalMatrix, "nullspace", doctored)
 
     def test_rejects_a_vector_off_the_kernel(self, monkeypatch):
         # every word of length >= 2 has a nonzero reduced coproduct
-        self.doctor(monkeypatch, lambda kernel: [v[:-1] + [v[-1] + 1] for v in kernel])
+        self.doctor(monkeypatch, lambda kernel, n: [v[:-1] + [v[-1] + 1] for v in kernel])
         with pytest.raises(ArithmeticError, match="not primitive"):
             primitive_space(3)
 
     def test_accepts_rational_multiples(self, monkeypatch):
         plain = primitive_space(3).vectors
-        self.doctor(monkeypatch, lambda kernel: [[x * Fraction(-2, 3) for x in v] for v in kernel])
+        self.doctor(monkeypatch, lambda kernel, n: [[x * Fraction(-2, 3) for x in v] for v in kernel])
         assert primitive_space(3).vectors == [Fraction(-2, 3) * z for z in plain]
 
     def test_rejects_a_zero_vector(self, monkeypatch):
         # zero is primitive, so only the independence check can catch it
-        self.doctor(monkeypatch, lambda kernel: kernel + [[Fraction(0)] * len(kernel[0])])
+        self.doctor(monkeypatch, lambda kernel, n: kernel + [[Fraction(0)] * n])
         with pytest.raises(ArithmeticError, match="not in echelon form"):
             primitive_space(2)
 
     def test_rejects_a_repeated_vector(self, monkeypatch):
-        self.doctor(monkeypatch, lambda kernel: kernel + [list(kernel[0])])
+        self.doctor(monkeypatch, lambda kernel, n: kernel + [list(v) for v in kernel[:1]])
         with pytest.raises(ArithmeticError, match="not in echelon form"):
             primitive_space(2)
+
+    def test_rejects_vectors_out_of_order(self, monkeypatch):
+        # each vector primitive and the set independent, but a block hands
+        # them over last first: merging the blocks must not sort them back
+        self.doctor(monkeypatch, lambda kernel, n: kernel[::-1])
+        with pytest.raises(ArithmeticError, match="not in echelon form"):
+            primitive_space(3)
 
     def test_does_not_read_the_matrix_rows(self, monkeypatch):
         # one entry of one row changed after assembly moves the kernel, and
@@ -293,16 +310,22 @@ class TestRecheck:
         # notice.  Grade 2, because its four rows are independent: at grade
         # 3 every row lies in the span of the others, so changing one row
         # can only shrink the kernel inside the primitive space
+        # primitive_space builds one block at a time, and the word 1,2 and
+        # the row (1, 1) are in the supremum-2 block only
         real = primitives.delta_plus_matrix
+        changed = []
 
-        def doctored(n):
-            m = real(n)
-            m.rows[m.row_labels.index((W("1"), W("1")))][m.col_labels.index(W("1,2"))] += 1
+        def doctored(n, sup=None):
+            m = real(n, sup)
+            if W("1,2") in m.col_labels:
+                m.rows[m.row_labels.index((W("1"), W("1")))][m.col_labels.index(W("1,2"))] += 1
+                changed.append(sup)
             return m
 
         monkeypatch.setattr(primitives, "delta_plus_matrix", doctored)
         with pytest.raises(ArithmeticError, match="not primitive"):
             primitive_space(2)
+        assert changed == [2]
 
     def test_skips_explicit_zero_entries(self, monkeypatch):
         # a (0, 0) pair ahead of every vector: read as a leading entry, it
@@ -541,3 +564,85 @@ class TestStructuralOracles:
         # is conjectured from these values, not proven
         assert [per_supremum(bases[n]).get(1, 0) for n in range(1, 6)] == [1, 1, 2, 4, 8]
         assert [block_dimension(n, 1) for n in (6, 7)] == [16, 32]
+
+
+@pytest.fixture(scope="module")
+def grade_five():
+    return delta_plus_matrix(5)
+
+
+def entries(matrix):
+    # {(row label, column word): value} over the nonzero entries
+    return {(matrix.row_labels[i], matrix.col_labels[j]): v for i, row in enumerate(matrix.rows) for j, v in row.items()}
+
+
+class TestBlocks:
+    """primitive_space one (length, supremum) block at a time, against the whole grade."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_text_is_the_whole_grade_kernel(self, n, bases, grade_five):
+        # the slow reference: the whole grade's matrix eliminated at once
+        m = grade_five if n == 5 else delta_plus_matrix(n)
+        cols = m.col_labels
+        whole = PrimitiveBasis(n, [LinComb({cols[j]: c for j, c in vec}) for vec in m.nullspace()])
+        assert PrimitiveBasis(n, bases[n]).text() == whole.text()
+        assert primitive_space(n, max_grade=5).text() == whole.text()
+
+    def test_grade_five_blocks_add_up_to_the_whole_grade(self, grade_five):
+        blocks = [delta_plus_matrix(5, k) for k in range(6)]
+        assert [m.n_cols for m in blocks] == [count_packed(5, k) for k in range(6)]
+        sums = [sum(f(m) for m in blocks) for f in (lambda m: m.n_rows, lambda m: m.n_cols, nnz, lambda m: m.rank())]
+        assert sums == [912, 1082, 22370, 475]
+        assert sums == [grade_five.n_rows, grade_five.n_cols, nnz(grade_five), grade_five.rank()]
+        # every entry of the whole grade lies in exactly one block
+        split = {}
+        for m in blocks:
+            block = entries(m)
+            assert not split.keys() & block.keys()
+            split.update(block)
+        assert split == entries(grade_five)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_block_columns_and_records(self, n):
+        # a block's columns are the words of its supremum, in canonical
+        # order, and its coproduct records hold the multiplicities that the
+        # whole grade's matrix records for the same words
+        whole = delta_plus_matrix(n)
+        mults = dict(zip(whole.col_labels, (rec[3] for rec in whole._coproducts)))
+        for k in range(n + 1):
+            m = delta_plus_matrix(n, k)
+            assert m.col_labels == [w for w in whole.col_labels if w.sup == k]
+            assert [rec[3] for rec in m._coproducts] == [mults[w] for w in m.col_labels]
+
+    def test_supremum_n_block_at_grade_six(self):
+        # the permutation block (6, 6) alone: 720 columns, kernel p_6 = 572
+        m = delta_plus_matrix(6, sup=6)
+        assert m.n_cols == 720
+        assert len(m.nullspace()) == permutation_primitive_dims(6)[5] == 572
+
+    def test_empty_and_single_word_blocks(self):
+        assert delta_plus_matrix(3, 4).n_cols == 0
+        assert delta_plus_matrix(3, 4).nullspace() == []
+        zero = delta_plus_matrix(3, 0)
+        assert zero.col_labels == [W("0,0,0")]
+        assert zero.nullspace() == []
+        with pytest.raises(ValueError):
+            delta_plus_matrix(3, -1)
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_builds_one_block_at_a_time(self, n, monkeypatch):
+        # one matrix per block k = 0..n, looked up through the module, and
+        # each dropped before the next is built
+        real = primitives.delta_plus_matrix
+        calls, built = [], []
+
+        def tracked(m, sup=None):
+            assert all(ref() is None for ref in built), "a block outlived its elimination"
+            calls.append((m, sup))
+            matrix = real(m, sup)
+            built.append(weakref.ref(matrix))
+            return matrix
+
+        monkeypatch.setattr(primitives, "delta_plus_matrix", tracked)
+        primitive_space(n)
+        assert calls == [(n, k) for k in range(n + 1)]
