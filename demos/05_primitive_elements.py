@@ -9,6 +9,8 @@ and whose rows are the occupied nonempty tensor pairs; elimination over
 the rationals gives certain integer dimensions, no tolerances involved.
 """
 
+from collections import Counter
+
 from packedwords import (
     count_packed_total,
     delta_plus_matrix,
@@ -40,3 +42,11 @@ z2 = primitive_space(2).vectors[1]
 bracket = product(z1, z2) - product(z2, z1)
 print("a bracket of primitives:", bracket)
 print("still primitive:", not reduced_coproduct(bracket))
+
+# the coproduct keeps length and supremum, so each primitive space splits
+# by the supremum k of its words; primitive_space computes it block by
+# block, and every basis vector lies in one block
+print("dim Prim_(n,k) for k = 0..n:")
+for n in range(1, 6):
+    by_sup = Counter(next(iter(z.terms)).sup for z in primitive_space(n).vectors)
+    print(f"    n={n}:", [by_sup[k] for k in range(n + 1)])
