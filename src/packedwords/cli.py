@@ -27,7 +27,6 @@ from .algebra import _cuts, factor_irreducible, shifted_concat
 from .algebra import is_irreducible  # noqa: F401  kept importable here: perfbench/tracer.py wraps cli.is_irreducible
 from .coalgebra import _shared_memos, antipode, coproduct, verify_antipode, verify_bialgebra, verify_coassociativity
 from .enumeration import (
-    _irreducible_letters,
     _packed_letters,
     count_irreducible,
     count_packed,
@@ -68,17 +67,10 @@ def _check_cap(what: str, value: int, cap: int, flag: str) -> None:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     _nonnegative("length", args.n)
-    sup = args.sup
-    if sup is not None:
-        _nonnegative("--sup", sup)
-    if not args.irreducible:
-        # pruned to the supremum during the search
-        words = _packed_letters(args.n, sup)
-    else:
-        words = _irreducible_letters(args.n)
-        if sup is not None:
-            words = (w for w in words if max(w, default=0) == sup)
-    _write_lines(map(_letters_text, words))
+    if args.sup is not None:
+        _nonnegative("--sup", args.sup)
+    # pruned to the supremum and to irreducibility during the search
+    _write_lines(map(_letters_text, _packed_letters(args.n, args.sup, args.irreducible)))
     return EXIT_OK
 
 

@@ -10,17 +10,17 @@ the free-monoid structure, either as an inclusion-exclusion over
 compositions or by an integer recurrence; each total d_n is evaluated
 once and kept.  The words themselves are generated depth first in
 canonical order, pruned so that every prefix extends to a packed word, as
-letter tuples from one generator; the CLI verbs ``enumerate`` and
-``verify factorization`` read it directly, and ``enumerate_packed`` makes
-the list of ``Word``s that the other callers use.  Given a supremum, the
-same search pins its running maximum there from the start, so only the
-words of that supremum are generated; ``enumerate --sup`` and the
-primitive pipeline's blocks read that mode.  The irreducible words
-come from the same search, further pruned so that every prefix extends to
-a packed word with no admissible cut; ``enumerate --irreducible`` and
-``enumerate_irreducible`` read it, so no reducible word is generated and
-then dropped.  Everything is exact: every count is an arbitrary-precision
-integer.
+letter tuples from one walk with two optional prunes.  Given a supremum,
+the walk pins its running maximum there from the start, so only the words
+of that supremum are generated; asked for irreducible words, it also
+tracks the earliest admissible cut still open and drops every prefix whose
+cut can no longer close, so no reducible word is generated and then
+dropped.  The two prunes combine, so the irreducible words of one
+supremum are pruned both ways, not filtered.  The CLI verbs ``enumerate``
+and ``verify factorization`` read the walk directly, and
+``enumerate_packed`` and ``enumerate_irreducible`` make the lists of
+``Word``s that the other callers use.  Everything is exact: every count
+is an arbitrary-precision integer.
 """
 
 from __future__ import annotations
@@ -102,20 +102,25 @@ def count_packed_total(n: int) -> int:
     return _packed_totals(n)[n] if n >= 0 else 0
 
 
-def _packed_letters(n: int, sup: "int | None" = None) -> Iterator[Tuple[int, ...]]:
+def _packed_letters(n: int, sup: "int | None" = None, irreducible: bool = False) -> Iterator[Tuple[int, ...]]:
     # letter tuples of all packed words of length n, or of those of
-    # supremum sup only, in lexicographic order, depth first: at each
-    # position the letters are tried in increasing order, and a letter is
-    # allowed only if the letters still missing below the running maximum
-    # fit into the positions left after it
+    # supremum sup only, and of those only the irreducible ones if
+    # irreducible, in lexicographic order, depth first: at each position
+    # the letters are tried in increasing order, and a letter is allowed
+    # only if the letters still missing below the running maximum fit into
+    # the positions left after it
     if sup is not None and not 0 <= sup <= n:
         return iter([])
     if n == 0:
-        return iter([()])
-    return _search(n, sup)
+        # e is not irreducible
+        return iter([] if irreducible else [()])
+    if n == 1:
+        # a one-letter word has no cut
+        return iter([(0,), (1,)] if sup is None else [(sup,)])
+    return _search(n, sup, irreducible)
 
 
-def _allowed(top: int, seen: int, missing: int, left: int, pinned: bool = False) -> Iterable[int]:
+def _allowed(top: int, seen: int, missing: int, left: int, pinned: bool) -> Iterable[int]:
     # the letters allowed next after a prefix with maximum top; seen: bit x
     # set iff letter x occurs in the prefix; missing: letters 1..top absent
     # from it; left: positions still to fill, >= 1; pinned: top is the
@@ -125,64 +130,35 @@ def _allowed(top: int, seen: int, missing: int, left: int, pinned: bool = False)
     return range(top + 1 if pinned else top + left - missing + 1)
 
 
-def _search(n: int, sup: "int | None") -> Iterator[Tuple[int, ...]]:
+def _search(n: int, sup: "int | None", irreducible: bool) -> Iterator[Tuple[int, ...]]:
     # an explicit stack of (letters still to try, prefix, top, seen, missing,
-    # left) frames, one per prefix on the current path; the last position is
-    # filled here, so each word passes through one generator, not n nested.
-    # With a supremum, top starts pinned at it with all of 1..sup missing,
-    # so no letter ever rises above top and only the words of that
-    # supremum are generated
+    # left, cut) frames, one per prefix on the current path, n >= 2; the
+    # last position is filled here, so each word passes through one
+    # generator, not n nested.  With a supremum, top starts pinned at it
+    # with all of 1..sup missing, so no letter ever rises above top and only
+    # the words of that supremum are generated.
+    #
+    # cut, kept only if irreducible: the supremum of the prefix at its
+    # earliest admissible cut still open, -1 if none.  A cut of a packed
+    # word splits it into a packed prefix and a suffix whose nonzero letters
+    # lie above the prefix's supremum, so a prefix shorter than n that is
+    # packed opens a cut at its own maximum, and a nonzero letter x <= cut
+    # closes every open cut, since the later ones have suprema >= cut.  The
+    # prefix is packed iff seen is 0b1...10 (or 0), and its own maximum is
+    # seen.bit_length() - 1, also when top is pinned above it.  A word comes
+    # out only when no cut is open.  The prunes skip only prefixes that
+    # cannot get there: a first letter 0, which opens a cut that no letter
+    # closes; forced letters left while a cut is open, since they are the
+    # missing ones, all above cut; and a last letter outside 1..cut.  The
+    # first two also keep the output right: cut stays -1 after a prefix of
+    # 0s, whose seen is 0, and a forced last letter comes out unchecked.
     pinned = sup is not None
     top = sup if pinned else 0
     grow = 0 if pinned else 1
-    stack = [(iter(_allowed(top, 0, top, n, pinned)), (), top, 0, top, n)]
-    while stack:
-        xs, prefix, top, seen, missing, left = stack[-1]
-        x = next(xs, None)
-        if x is None:
-            stack.pop()
-            continue
-        word = prefix + (x,)
-        if left == 1:  # only when n == 1
-            yield word
-            continue
-        if x > top:
-            seen |= 1 << x
-            missing += x - top - 1
-            top = x
-        elif x and not seen >> x & 1:
-            seen |= 1 << x
-            missing -= 1
-        if left > 2:
-            stack.append((iter(_allowed(top, seen, missing, left - 1, pinned)), word, top, seen, missing, left - 1))
-        elif missing:
-            # one position and one letter of 1..top left: it goes there
-            yield word + ((~seen & ((2 << top) - 2)).bit_length() - 1,)
-        else:
-            for y in range(top + 1 + grow):
-                yield word + (y,)
-
-
-def _irreducible_letters(n: int) -> Iterator[Tuple[int, ...]]:
-    # letter tuples of the irreducible packed words of length n in
-    # lexicographic order (none at n = 0): the search of _search, pruned of
-    # every prefix that cannot lose its cuts
-    if n < 2:
-        return iter([(0,), (1,)] if n == 1 else [])
-    return _irreducible_search(n)
-
-
-def _irreducible_search(n: int) -> Iterator[Tuple[int, ...]]:
-    # _search's frames with one more integer, cut: the supremum of the prefix
-    # at its earliest admissible cut still open, -1 if none.  A cut of a
-    # packed word splits it into a packed prefix and a suffix whose nonzero
-    # letters lie above the prefix's supremum, so a prefix shorter than n
-    # that is packed opens a cut at its top, and a nonzero letter x <= cut
-    # closes every open cut, since the later ones have suprema >= cut.  A
-    # word comes out only when no cut is open.  The prunes below skip only
-    # prefixes that cannot get there; a first letter 0 (n >= 2) is the first
-    # of them, since it opens a cut that no letter closes.
-    stack = [(iter(range(1, n + 1)), (), 0, 0, 0, n, -1)]
+    first = _allowed(top, 0, top, n, pinned)
+    if irreducible:
+        first = [x for x in first if x]
+    stack = [(iter(first), (), top, 0, top, n, -1)]
     while stack:
         xs, prefix, top, seen, missing, left, cut = stack[-1]
         x = next(xs, None)
@@ -190,8 +166,6 @@ def _irreducible_search(n: int) -> Iterator[Tuple[int, ...]]:
             stack.pop()
             continue
         word = prefix + (x,)
-        if 0 < x <= cut:
-            cut = -1
         if x > top:
             seen |= 1 << x
             missing += x - top - 1
@@ -200,21 +174,24 @@ def _irreducible_search(n: int) -> Iterator[Tuple[int, ...]]:
             seen |= 1 << x
             missing -= 1
         left -= 1
-        if not missing:
-            if cut < 0:
-                cut = top
-        elif missing == left and cut >= 0:
-            # the letters left are forced: the missing ones, all above cut
-            continue
+        if irreducible:
+            if 0 < x <= cut:
+                cut = -1
+            if cut < 0 and not (seen + 2) & (seen + 1):
+                cut = seen.bit_length() - 1
+            if cut >= 0 and missing == left:
+                continue
         if left > 1:
-            stack.append((iter(_allowed(top, seen, missing, left)), word, top, seen, missing, left, cut))
+            stack.append((iter(_allowed(top, seen, missing, left, pinned)), word, top, seen, missing, left, cut))
         elif missing:
-            # the one missing letter goes last
-            if cut < 0:
-                yield word + ((~seen & ((2 << top) - 2)).bit_length() - 1,)
-        else:
+            # one position and one letter of 1..top left: it goes there
+            yield word + ((~seen & ((2 << top) - 2)).bit_length() - 1,)
+        elif irreducible:
             # the prefix is packed, so a cut is open: only 1..cut closes it
             for y in range(1, cut + 1):
+                yield word + (y,)
+        else:
+            for y in range(top + 1 + grow):
                 yield word + (y,)
 
 
@@ -241,15 +218,18 @@ def enumerate_packed(n: int, sup: "int | None" = None) -> list[Word]:
 def enumerate_irreducible(n: int) -> list[Word]:
     """All irreducible packed words of length n, canonically ordered.
 
-    The packed-word search of ``enumerate_packed`` tracks, for each prefix,
-    the supremum at its earliest admissible cut still open, and prunes
-    every prefix whose cut can no longer close: a first letter 0 (for
-    n >= 2), forced letters left while a cut is open, and a last letter
-    outside 1..that supremum.  No packed word with a cut is generated.
+    The one packed-word walk of ``enumerate_packed`` tracks, for each
+    prefix, the supremum at its earliest admissible cut still open, and
+    prunes every prefix whose cut can no longer close: a first letter 0
+    (for n >= 2), forced letters left while a cut is open, and a last
+    letter outside 1..that supremum.  No packed word with a cut is
+    generated.  The same walk with its supremum pinned gives the
+    irreducible words of one supremum, pruned rather than filtered
+    (``enumerate N --irreducible --sup K``).
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return list(map(Word._raw, _irreducible_letters(n)))
+    return list(map(Word._raw, _packed_letters(n, irreducible=True)))
 
 
 _irreducible_cache: list[int] = [0]

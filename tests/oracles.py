@@ -8,7 +8,8 @@ irreducible factors off the right (``_factor_rightmost``, the one oracle
 that reuses the library's cut predicate), irreducible counts by explicit
 composition sums over the packed-word totals, coproducts by listing
 position subsets with the public word operations, antipodes by the
-right-hand recursion, the mirror image of the library's, the series
+right-hand recursion, the mirror image of the library's, and by
+Takeuchi's closed form over ordered set partitions, the series
 e^x/(2-e^x) by truncated ``Fraction`` series arithmetic, and reduced row
 echelon forms by textbook Gauss-Jordan elimination.  ``packed_words`` and
 ``sweep`` set up the hypothesis sweeps, and ``corrupted_delta`` injects
@@ -241,6 +242,31 @@ def brute_antipode(w: Word, memo: "dict[Word, LinComb] | None" = None) -> LinCom
                 result = result - c * product(LinComb.word(u), brute_antipode(v, memo))
         memo[w] = result
     return memo[w]
+
+
+def takeuchi_antipode(w: Word) -> LinComb:
+    """Antipode by Takeuchi's closed form S(w) = sum (-1)^k t_1 * ... * t_k.
+
+    The sum runs over the ordered set partitions (I_1, ..., I_k) of w's
+    positions into nonempty blocks, each met as the map from positions to
+    block numbers 0..k-1 that it is; t_j is the pack of w on I_j quotiented
+    by the letters of w on I_1, ..., I_(j-1), and the product is
+    ``shifted_concat``.  No recursion and no memo: every term is multiplied
+    out on its own.
+    """
+    n = len(w)
+    terms = Counter()
+    for blocks in iproduct(range(n), repeat=n):
+        k = len(set(blocks))
+        if k and max(blocks) != k - 1:
+            continue  # not onto 0..k-1
+        term, before = Word(()), []
+        for j in range(k):
+            block = [p for p in range(1, n + 1) if blocks[p - 1] == j]
+            term = shifted_concat(term, pack(quotient(subword(w, block), subword(w, before))))
+            before += block
+        terms[term] += (-1) ** k
+    return LinComb(terms)
 
 
 def egf_expansion(order: int) -> list[Fraction]:

@@ -103,10 +103,25 @@ class TestEnumerate:
         "be873eca39069127f1c541e45ae15e626bf8ce622117255d3ec84f1d73d97d59",
     ]
 
+    # the same for `enumerate N --irreducible --sup K`, as printed when
+    # --sup filtered every irreducible word of the length
+    IRREDUCIBLE_SUP_DIGESTS = [
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae",
+        "d43371809c00907007c3329b906b4ae1413853550d18e3f8f3b2d910b0986fe6",
+        "7e3e201e41fd026e4eb0e3fff9aeffd18b1c7fb1f367c5be34167eab3af975f6",
+        "b837be190041414b3cf202085f7f0736dda08025d6567b25006e4488fdeb93ec",
+        "8309bfd6f8d7d0804e1809f82af7a1bf2e1bc5072a618bfb04409c332c296dee",
+        "a97d9a03e356bf0c324b4dfcc820953bfbf7ca4ec0a0d2613da268f68fec9abf",
+        "6d01faa9624e4bde00c05b1b788e6d65a138b0d01ec7bd353a161751f206335c",
+        "847a11633b8015dae4f1b21b302d57921e1e1c2bc591ea40c1c3b165f5ef25e4",
+    ]
+
     @pytest.mark.parametrize("n", range(9))
     def test_sup_output_is_unchanged(self, n, monkeypatch):
         # the search pruned to the supremum prints what the filter did,
-        # d(n, k) lines for each k
+        # d(n, k) lines for each k, and so does the search pruned to the
+        # supremum and to irreducibility
         digest = hashlib.sha256()
         lines = []
 
@@ -122,6 +137,10 @@ class TestEnumerate:
             assert main(["enumerate", str(n), "--sup", str(k)]) == 0
         assert lines == [count_packed(n, k) for k in range(n + 2)]
         assert digest.hexdigest() == self.SUP_DIGESTS[n]
+        digest = hashlib.sha256()  # Sink reads the name, so it writes here now
+        for k in range(n + 2):
+            assert main(["enumerate", str(n), "--irreducible", "--sup", str(k)]) == 0
+        assert digest.hexdigest() == self.IRREDUCIBLE_SUP_DIGESTS[n]
 
     def test_streams_in_bounded_memory(self, monkeypatch):
         # the 94 586 words of length 7 are never held at once: a list of

@@ -16,6 +16,7 @@ from oracles import (
     corrupted_delta,
     packed_words,
     sweep,
+    takeuchi_antipode,
 )
 from packedwords import (
     LinComb,
@@ -295,6 +296,16 @@ class TestAgainstOracles:
         memo = {}
         for w in seeded_words(6, 6, 8):
             assert antipode(w) == brute_antipode(w, memo), w
+
+    def test_antipode_against_takeuchi_on_all_short_words(self):
+        for w in words_up_to(4):
+            assert antipode(w) == takeuchi_antipode(w), w
+
+    def test_antipode_against_takeuchi_on_seeded_length_six_words(self):
+        words = seeded_words(66, 6, 8)
+        assert all(len(w) == 6 for w in words)
+        for w in words:
+            assert antipode(w) == takeuchi_antipode(w), w
 
     def test_antipode_on_seeded_reducible_words_of_length_seven_and_eight(self):
         # reducible words take the product of their factors' antipodes

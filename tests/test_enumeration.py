@@ -222,12 +222,16 @@ class TestEnumeration:
     def test_supremum_search_is_the_filter(self, n):
         # the search with its supremum pinned yields exactly the words of
         # the full search with that supremum, in the same order, and
-        # nothing above the length
+        # nothing above the length; pruned to irreducibility as well, it
+        # yields exactly those of them with no cut (e, with none, is not
+        # irreducible)
         full = list(enumeration._packed_letters(n))
         for k in range(n + 3):
             words = list(enumeration._packed_letters(n, k))
             assert words == [w for w in full if max(w, default=0) == k], k
             assert len(words) == count_packed(n, k), k
+            irreducible = list(enumeration._packed_letters(n, k, irreducible=True))
+            assert irreducible == [w for w in words if w and not _cuts(w)], k
 
     def test_length_zero_by_supremum(self):
         assert list(enumeration._packed_letters(0, 0)) == [()]
@@ -254,10 +258,19 @@ class TestEnumeration:
     def test_irreducible_search_keeps_what_the_cut_filter_keeps(self):
         for n in range(1, 8):
             kept = [w for w in enumeration._packed_letters(n) if not _cuts(w)]
-            assert list(enumeration._irreducible_letters(n)) == kept, n
+            assert list(enumeration._packed_letters(n, irreducible=True)) == kept, n
 
     def test_irreducible_search_at_length_eight(self):
-        assert sum(1 for _ in enumeration._irreducible_letters(8)) == count_irreducible(8) == 704226
+        assert sum(1 for _ in enumeration._packed_letters(8, irreducible=True)) == count_irreducible(8) == 704226
+
+    def test_irreducible_search_by_supremum_at_length_eight(self):
+        # the walk pruned both ways splits the irreducible words of length
+        # eight by supremum; the 64 of supremum 1 are the words 1,w,1 with w
+        # any of the 2^6 words over {0,1}
+        counts = [sum(1 for _ in enumeration._packed_letters(8, k, irreducible=True)) for k in range(10)]
+        assert counts[0] == counts[9] == 0
+        assert counts[1] == 64
+        assert sum(counts) == count_irreducible(8) == 704226
 
     def test_length_zero_irreducible_rejected(self):
         with pytest.raises(ValueError):
