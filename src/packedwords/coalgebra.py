@@ -11,46 +11,79 @@ cancels and the last product makes exactly the terms of the result.  Only
 irreducible words take the usual recursion over strictly smaller first
 slots, which reaches reducible subwords through the same memo.
 
-Everything runs on one private integer kernel: words are plain letter
-tuples and formal sums are dicts from tuples (or pairs and triples of
-tuples) to ``int``s.  ``Word``, ``LinComb`` and ``Tensor2`` are built only
-where a public function returns.  ``primitives`` reads the same kernel
-(``_delta``) for its matrix and its re-check, so this holds there too.
+Everything runs on one private integer kernel.  Words are coded as
+single ``int``s (the format is stated in ``words``: one byte per letter,
+concatenation by a shift and an or, a lift by one addition), a split is
+a pair of codes, a coassociativity key a triple, and formal sums are
+dicts from these to ``int``s.  Codes are decoded to letter tuples, and
+``Word``, ``LinComb`` and ``Tensor2`` built, only where a public function
+returns.  ``primitives`` reads the same kernel (``_delta``) for its
+matrix and its re-check, and decodes only the row labels it must sort.
+A letter above 254 does not fit a byte, so every public call here
+refuses a word of larger supremum, for ``verify_bialgebra`` the product
+u * v, with ``ResourceLimitError`` before any work; the CLI's 12-letter
+cap is far below the 255 letters such a packed word needs.
 
-The kernel's memos (coproducts in ``verify_coassociativity`` and
-``verify_bialgebra``, a dict that computes a word's coproduct when it is
-first looked up; antipodes in ``antipode`` and ``verify_antipode``) last
-one call, with one exception: while a CLI ``verify`` sweep runs
-(``_shared_memos``, which is thread-local), its verifier calls share the
-entries of the words shorter than the one each checks, and each call
-drops its own word's entries when it returns.  So a sweep that has
-checked every word up to length n holds the coproducts or antipodes of
-the words up to length n - 1 only.  Measured with ``tracemalloc``, beyond
-the packing cache: the coproducts of the 185 words of length <= 4, which
-``verify coassoc --max-len 5`` ends with, are 1 923 terms in 0.22 MB, and
-the antipodes that ``verify antipode --max-len 5`` ends with 1 183 terms
-in 0.16 MB; at ``--max-len 6`` (the 1 267 words of length <= 5) they are
-26 457 terms in 2.7 MB and 25 449 terms in 3.2 MB, which is also what a
-``--max-len 5`` sweep would end with if each call kept its own word's
-entries.  One coproduct is built from tables over the subsets of its
-word's positions, 2^n letter tuples and 2^n alphabet masks: 4 096 of each
-at the CLI cap of 12 letters.  With the packing cache warm, one length-12
-``_delta`` call peaked at 0.32-0.71 MB over seven words (the identity
-permutation and six seeded words).  A sweep's memos belong to one thread,
-so every function here is safe to call from several threads;
-``antipode`` and ``coproduct`` never hold terms beyond their call.
+The kernel's memos are these.  Coproducts (``_Deltas``, a dict that
+computes a word's coproduct when it is first looked up) live in
+``verify_coassociativity`` and ``verify_bialgebra``; antipodes in
+``antipode`` and ``verify_antipode``.  Each coproduct is packed through
+a ``words._Packed`` memo, one entry per distinct subword code and per
+distinct (subword, erased letters) pair it meets, so at most 2^(n+1)
+entries for a word of n letters; it lives as long as the coproduct memo
+it belongs to, or for one ``coproduct`` or ``antipode`` call, or one
+matrix in ``primitives``.  All of these last one call, with one
+exception: while a CLI ``verify`` sweep runs (``_shared_memos``, which
+is thread-local), its verifier calls share the coproducts and antipodes
+of the words shorter than the one each checks, and the packing memo,
+and each call drops its own word's coproducts and antipodes when it
+returns.  So a sweep that has checked every word up to length n holds
+the coproducts or antipodes of the words up to length n - 1 only, and
+the packings of the subwords it has met.  Measured with ``tracemalloc``:
+the coproducts of the 185 words of length <= 4, which ``verify coassoc
+--max-len 5`` ends with, are 1 923 terms in 0.23 MB, and the antipodes
+that ``verify antipode --max-len 5`` ends with 1 183 terms in 0.12 MB,
+beside a packing memo of 2 439 entries in about 0.2 MB; at ``--max-len
+6`` (the 1 267 words of length <= 5) they are 26 457 terms in 2.8 MB and
+25 449 terms in 2.0 MB, beside 21 711 packings in 1.6-1.9 MB.  The
+supremum and the nonzero-letter mask of a code are each kept in an
+``lru_cache`` of 2^16 entries (``words._code_sup``,
+``words._nonzero_bits``).  One coproduct is built from tables over the
+subsets of its word's positions, 2^n codes and 2^n alphabet masks: 4 096
+of each at the CLI cap of 12 letters.  One length-12 ``_delta`` call
+with a fresh packing memo peaked at 0.9-2.0 MB over seven words (the
+identity permutation and six seeded words).  A sweep's memos belong to
+one thread, and the ``lru_cache``s are safe to share, so every function
+here is safe to call from several threads; ``antipode`` and
+``coproduct`` never hold terms beyond their call.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import compress
+from operator import and_
 from typing import Tuple, Union
 
 from .algebra import FormalSum, LinComb, _as_lincomb, _collect, _factors
 from .algebra import product  # noqa: F401  kept importable here: perfbench/tracer.py wraps coalgebra.product
-from .words import Word, _canonical_key, _lift, _pack_letters, require_packed
+from .words import (
+    Word,
+    _canonical_key,
+    _code_shift,
+    _code_sup,
+    _decode,
+    _encode,
+    _lift_code,
+    _lift_codes,
+    _Packed,
+    _require_codable,
+    _subword_codes,
+    require_packed,
+)
 
 __all__ = [
     "Tensor2",
@@ -65,7 +98,7 @@ __all__ = [
 
 Pair = Tuple[Word, Word]
 Letters = Tuple[int, ...]
-Split = Tuple[Letters, Letters]
+Split = Tuple[int, int]
 
 
 class Tensor2(FormalSum):
@@ -88,38 +121,39 @@ class Tensor2(FormalSum):
         return _canonical_key(pair[0].letters), _canonical_key(pair[1].letters)
 
 
-def _delta(letters: Letters) -> dict[Split, int]:
-    # the 2^n ordered splits (I, J) of the positions, from subset tables:
-    # bit j of m stands for position j, sel[m] holds the letters at the
-    # positions of m in order and alph[m] the bitmask of its nonzero letters,
-    # each built from the subsets of the earlier positions.  The complement
-    # of m is 2^n - 1 - m, so the remaining letters are sel read backwards.
-    # Only letters in both alphabets are quotiented out, so a split with
-    # nothing in common builds no new tuple; both slots are packed
-    sel: list[Letters] = [()]
-    alph = [0]
-    for x in letters:
-        sel += [s + (x,) for s in sel]
-        bit = 1 << x if x else 0
-        alph += [a | bit for a in alph]
-    acc: dict[Split, int] = {}
-    get = acc.get
-    for s, a, rest, b in zip(sel, alph, reversed(sel), reversed(alph)):
-        common = a & b
-        if common:
-            rest = tuple([0 if common >> i & 1 else i for i in rest])
-        key = (_pack_letters(s), _pack_letters(rest))
-        acc[key] = get(key, 0) + 1
-    return acc
+def _delta(code: int, packed: _Packed) -> dict[Split, int]:
+    # the 2^n ordered splits (I, J) of the positions of the word coded by
+    # code, from the subset tables of words._subword_codes, in which the
+    # complement of a subset is read from the other end.  Both slots are
+    # packed through the memo packed; only letters in both alphabets are
+    # quotiented out, so a split with nothing in common packs the
+    # complement's subword as it is
+    sel, alph = _subword_codes(code)
+    firsts = list(map(packed.__getitem__, sel))
+    seconds = firsts[::-1]
+    last = len(sel) - 1
+    common = list(map(and_, alph, reversed(alph)))
+    for m in compress(range(last + 1), common):
+        seconds[m] = packed[sel[last - m], common[m]]
+    return dict(Counter(zip(firsts, seconds)))
+
+
+def _codes(lin: LinComb) -> list[Tuple[int, object]]:
+    # (code, coefficient) of each term, refused before any work if a word
+    # does not fit the code
+    terms = lin.terms
+    for w in terms:
+        _require_codable(w.sup)
+    return [(_encode(w.letters), c) for w, c in terms.items()]
 
 
 def coproduct(x: Union[Word, LinComb]) -> Tensor2:
     """Selection/quotient coproduct, extended linearly to formal sums."""
-    lin = _as_lincomb(x)
-    raw = Word._raw
-    return Tensor2._raw(
-        _collect(((raw(u), raw(v)), c * m) for w, c in lin.terms.items() for (u, v), m in _delta(w.letters).items())
-    )
+    packed = _Packed()
+    terms = _collect((split, c * m) for w, c in _codes(_as_lincomb(x)) for split, m in _delta(w, packed).items())
+    # the Word of each code, decoded once
+    words = {c: Word._raw(_decode(c)) for split in terms for c in split}
+    return Tensor2._raw({(words[u], words[v]): c for (u, v), c in terms.items()})
 
 
 def counit(x: Union[Word, LinComb]) -> Union[int, Fraction]:
@@ -137,40 +171,45 @@ def reduced_coproduct(x: Union[Word, LinComb]) -> Tensor2:
 
 
 def _antipode(
-    letters: Letters, memo: dict[Letters, dict[Letters, int]], delta: dict[Split, int] | None = None
-) -> dict[Letters, int]:
-    # S(w) of the module docstring.  Every term of S(u) has the supremum of
-    # u (the coproduct splits the supremum and the product adds it up), so
-    # each product lifts a whole antipode by one amount.  A caller that
-    # already holds Δ(w) passes it as delta; a reducible w does not use it.
-    if not letters:
-        return {(): 1}
-    result = memo.get(letters)
+    code: int, memo: dict[int, dict[int, int]], packed: _Packed, delta: dict[Split, int] | None = None
+) -> dict[int, int]:
+    # S(w) of the module docstring, on codes.  Every term of S(u) has the
+    # length and the supremum of u (the coproduct splits both and the
+    # product adds them up), so each product shifts and lifts a whole
+    # antipode by one amount.  A caller that already holds Δ(w) passes it as
+    # delta; a reducible w does not use it.
+    if not code:
+        return {0: 1}
+    result = memo.get(code)
     if result is not None:
         return result
+    letters = _decode(code)
     factors = _factors(letters)
     if len(factors) > 1:
         # reducible: the S of each factor (algebra._factors) goes in front
         # of the product so far, lifted by the suprema of the factors after it
-        result = {(): 1}
+        result = {0: 1}
         lift = max(letters)
         for f in factors:
             lift -= max(f)
-            head = [(_lift(s, lift), d) for s, d in _antipode(f, memo).items()]
-            result = {s + a: d * c for s, d in head for a, c in result.items()}
-        memo[letters] = result
+            f = _encode(f)
+            shift = _code_shift(f)
+            sf = _antipode(f, memo, packed)
+            head = list(zip(_lift_codes(sf, lift), sf.values()))
+            result = {s | a << shift: d * c for s, d in head for a, c in result.items()}
+        memo[code] = result
         return result
     # irreducible: S(w) = -w - sum of S(u) * v over the splits with both
     # slots nonempty, u strictly shorter than w
-    acc = {letters: -1}
+    acc = {code: -1}
     get = acc.get
-    for (u, v), m in (_delta(letters) if delta is None else delta).items():
+    for (u, v), m in (_delta(code, packed) if delta is None else delta).items():
         if u and v:
-            tail = _lift(v, max(u))
-            for s, c in _antipode(u, memo).items():
-                k = s + tail
+            tail = _lift_code(v, _code_sup(u)) << _code_shift(u)
+            for s, c in _antipode(u, memo, packed).items():
+                k = s | tail
                 acc[k] = get(k, 0) - m * c
-    result = memo[letters] = {k: c for k, c in acc.items() if c}
+    result = memo[code] = {k: c for k, c in acc.items() if c}
     return result
 
 
@@ -186,17 +225,22 @@ def antipode(x: Union[Word, LinComb]) -> LinComb:
     recursion is computed once per call and kept only until the call
     returns; nothing is cached between calls.
     """
-    lin = _as_lincomb(x)
-    memo: dict[Letters, dict[Letters, int]] = {}
-    terms = _collect((s, c * t) for w, c in lin.terms.items() for s, t in _antipode(w.letters, memo).items())
+    memo: dict[int, dict[int, int]] = {}
+    packed = _Packed()
+    terms = _collect((s, c * t) for w, c in _codes(_as_lincomb(x)) for s, t in _antipode(w, memo, packed).items())
     raw = Word._raw
-    return LinComb._raw({raw(s): c for s, c in terms.items()})
+    return LinComb._raw({raw(_decode(s)): c for s, c in terms.items()})
 
 
 class _Deltas(dict):
-    # coproducts by letter tuple, each computed on its first lookup (_delta is read then)
-    def __missing__(self, x: Letters) -> dict[Split, int]:
-        d = self[x] = _delta(x)
+    # coproducts by code, each computed on its first lookup (_delta is read
+    # then), with the packing memo that they and their caller share
+    def __init__(self) -> None:
+        super().__init__()
+        self.packed = _Packed()
+
+    def __missing__(self, x: int) -> dict[Split, int]:
+        d = self[x] = _delta(x, self.packed)
         return d
 
 
@@ -219,7 +263,7 @@ def _shared_memos():
 
 
 @contextmanager
-def _memos(*own: Letters):
+def _memos(*own: int):
     # the (coproducts, antipodes) memos of one verifier call: fresh ones, or
     # inside _shared_memos the sweep's, from which the entries of the words
     # in own (those as long as the checked word) go when the call ends
@@ -235,17 +279,22 @@ def _memos(*own: Letters):
                 memo.pop(x, None)
 
 
+def _code_of(w: Word) -> int:
+    # the code of a packed word, refused before any work if it does not fit
+    require_packed(w)
+    _require_codable(w.sup)
+    return _encode(w.letters)
 
 
 def verify_coassociativity(w: Word) -> bool:
     """Exact comparison of the two refinements of the coproduct."""
-    require_packed(w)
+    code = _code_of(w)
     left: dict = {}
     right: dict = {}
     lget = left.get
     rget = right.get
-    with _memos(w.letters) as (deltas, _):
-        for (u, v), c in deltas[w.letters].items():
+    with _memos(code) as (deltas, _):
+        for (u, v), c in deltas[code].items():
             for (a, b), c2 in deltas[u].items():
                 key = (a, b, v)
                 left[key] = lget(key, 0) + c * c2
@@ -259,25 +308,33 @@ def verify_bialgebra(u: Word, v: Word) -> bool:
     """Check that the coproduct of a product is the slotwise product of coproducts."""
     require_packed(u)
     require_packed(v)
-    a, b = u.letters, v.letters
-    top = max(a, default=0)
-    uv = a + _lift(b, top)
+    top = u.sup
+    _require_codable(top + v.sup)
+    a, b = _encode(u.letters), _encode(v.letters)
+    uv = a | _lift_code(b, top) << _code_shift(a)
     right: dict[Split, int] = {}
     get = right.get
     # a factor is as long as the product when the other one is empty; then
     # it is the product, and its one Δ serves both sides
-    with _memos(*(x for x in (a, b) if len(x) == len(uv))) as (deltas, _):
-        left = _delta(uv) if a and b else deltas[uv]
+    with _memos(*(x for x in (a, b) if x == uv)) as (deltas, _):
+        left = _delta(uv, deltas.packed) if a and b else deltas[uv]
         # each slot of a term of Δ(a) has a supremum t <= sup(a), so the
         # slots of Δ(b) are lifted once per t: firsts[t] and seconds[t] list
-        # them lifted by t, in the order of coeffs
-        terms_b = deltas[b].items()
-        coeffs = [c for _, c in terms_b]
-        firsts = [[_lift(b1, t) for (b1, _), _ in terms_b] for t in range(top + 1)]
-        seconds = [[_lift(b2, t) for (_, b2), _ in terms_b] for t in range(top + 1)]
+        # them lifted by t, in the order of coeffs.  The slots of a term of
+        # Δ(a) add up to the length and the supremum of a
+        terms_b = deltas[b]
+        coeffs = list(terms_b.values())
+        b1s = [b1 for b1, _ in terms_b]
+        b2s = [b2 for _, b2 in terms_b]
+        firsts = [_lift_codes(b1s, t) for t in range(top + 1)]
+        seconds = [_lift_codes(b2s, t) for t in range(top + 1)]
+        shift = _code_shift(a)
         for (a1, a2), c1 in deltas[a].items():
-            for x, y, c2 in zip(firsts[max(a1, default=0)], seconds[max(a2, default=0)], coeffs):
-                key = (a1 + x, a2 + y)
+            t = _code_sup(a1)
+            s1 = _code_shift(a1)
+            s2 = shift - s1
+            for x, y, c2 in zip(firsts[t], seconds[top - t], coeffs):
+                key = (a1 | x << s1, a2 | y << s2)
                 right[key] = get(key, 0) + c1 * c2
     return left == right
 
@@ -290,27 +347,36 @@ def verify_antipode(w: Word) -> bool:
     irreducible word the left identity holds by the construction of S; for
     a reducible one S comes from the factors, so both identities are checks.
     """
-    require_packed(w)
-    letters = w.letters
-    left: dict[Letters, int] = {}
-    right: dict[Letters, int] = {}
+    code = _code_of(w)
+    left: dict[int, int] = {}
+    right: dict[int, int] = {}
     lget = left.get
     rget = right.get
-    with _memos(letters) as (_, memo):
-        delta = _delta(letters)
+    with _memos(code) as (deltas, memo):
+        packed = deltas.packed
+        delta = _delta(code, packed)
         # S(w), for the term w (x) e: from the factors of a reducible w, else
         # from this Δ(w)
-        _antipode(letters, memo, delta)
+        _antipode(code, memo, packed, delta)
+        # the slots of a term add up to the length and the supremum of w,
+        # and every term of S(u) has the length and the supremum of u, so v
+        # fixes how far v is lifted and shifted after each term of S(u) on
+        # the left, and every term of S(v) after u on the right: lifted[v]
+        # holds both, worked out once for each v
+        lifted: dict[int, Tuple[int, list[Tuple[int, int]]]] = {}
         for (u, v), c in delta.items():
-            # every term of S(u) has the supremum of u, which lifts v on the
-            # left and every term of S(v) on the right
-            t = max(u, default=0)
-            tail = _lift(v, t)
-            for s, d in _antipode(u, memo).items():
-                k = s + tail
+            both = lifted.get(v)
+            if both is None:
+                t = _code_sup(u)
+                s = _code_shift(u)
+                sv = _antipode(v, memo, packed)
+                both = lifted[v] = (_lift_code(v, t) << s, [(x << s, d) for x, d in zip(_lift_codes(sv, t), sv.values())])
+            tail, head = both
+            for x, d in _antipode(u, memo, packed).items():
+                k = x | tail
                 left[k] = lget(k, 0) + c * d
-            for s, d in _antipode(v, memo).items():
-                k = u + _lift(s, t)
+            for x, d in head:
+                k = u | x
                 right[k] = rget(k, 0) + c * d
-    target = {(): 1} if not letters else {}
+    target = {0: 1} if not code else {}
     return all({k: c for k, c in side.items() if c} == target for side in (left, right))

@@ -53,7 +53,7 @@ from .algebra import LinComb
 from .coalgebra import Split, _delta
 from .coalgebra import coproduct, reduced_coproduct  # noqa: F401  kept importable here: perfbench/tracer.py wraps them
 from .enumeration import enumerate_packed
-from .words import Word, _canonical_key
+from .words import ResourceLimitError, Word, _canonical_key, _decode, _encode, _Packed, _require_codable
 
 __all__ = [
     "ResourceLimitError",
@@ -68,10 +68,6 @@ DEFAULT_GRADE_CAP = 6
 
 # one column's recorded coproduct; see RationalMatrix
 _Coproduct = Tuple[int, int, Tuple[int, ...], Tuple[int, ...]]
-
-
-class ResourceLimitError(RuntimeError):
-    """A computation was refused because it exceeds a configured size cap."""
 
 
 def _cancel(row: dict[int, int], prow: dict[int, int], col: int) -> None:
@@ -238,26 +234,30 @@ def delta_plus_matrix(n: int, sup: "int | None" = None) -> RationalMatrix:
     """
     if n < 1:
         raise ValueError(f"need a grade n >= 1, got {n}")
+    _require_codable(n if sup is None else sup)
     cols = enumerate_packed(n, sup)
+    packed = _Packed()
     ids: dict[Split, int] = {}
     number = ids.setdefault
     by_id: dict[int, dict[int, int]] = {}
     coproducts: list[_Coproduct] = []
     for j, w in enumerate(cols):
-        x = w.letters
-        delta = _delta(x)
+        x = _encode(w.letters)
+        delta = _delta(x, packed)
         split_ids = []
         for pair, c in delta.items():
             i = number(pair, len(ids))
             split_ids.append(i)
             if pair[0] and pair[1]:
                 by_id.setdefault(i, {})[j] = c
-        left = number((x, ()), len(ids))
-        right = number(((), x), len(ids))
+        left = number((x, 0), len(ids))
+        right = number((0, x), len(ids))
         coproducts.append((left, right, tuple(split_ids), tuple(delta.values())))
+    # the row labels decoded, once each, to be sorted in the canonical order
     pairs = list(ids)  # in the order of their numbers
-    order = sorted(by_id, key=lambda i: (_canonical_key(pairs[i][0]), _canonical_key(pairs[i][1])))
-    labels = [(Word._raw(pairs[i][0]), Word._raw(pairs[i][1])) for i in order]
+    rows = {i: (_decode(pairs[i][0]), _decode(pairs[i][1])) for i in by_id}
+    order = sorted(by_id, key=lambda i: (_canonical_key(rows[i][0]), _canonical_key(rows[i][1])))
+    labels = [(Word._raw(rows[i][0]), Word._raw(rows[i][1])) for i in order]
     matrix = RationalMatrix(col_labels=cols, row_labels=labels, rows=[by_id[i] for i in order])
     matrix._coproducts = coproducts
     return matrix

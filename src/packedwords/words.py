@@ -8,6 +8,23 @@ on.  All values here are immutable and all functions are pure.  The hot
 paths run on plain letter tuples, whose rules live here only:
 ``_pack_letters``, ``_is_packed_letters``, ``_lift`` (a right factor's
 shift), ``_canonical_key`` (the canonical order) and ``_letters_text``.
+
+The coalgebra kernel runs on words coded as single ``int``s, a format
+stated here only.  Byte i of the code (little-endian) holds letter i + 1,
+so the empty word is 0, no byte of a code is zero and a code's length is
+``(code.bit_length() + 7) // 8`` bytes (``_encode``, ``_decode``).  The
+concatenation of a and b is ``a | b << _code_shift(a)``.  Raising every
+nonzero letter by t is ``code + t * nz(code)``, where nz has a 1 in the
+low bit of each byte that holds a nonzero letter (a byte >= 2), found by
+a nonzero-byte test on the code with bit 0 of each byte cleared
+(``_nonzero_bits``; ``_lift_code`` and ``_lift_codes`` lift).
+``_subword_codes`` lists the codes of the subwords on every subset of the
+positions, with bitmasks of the letters each may share with its
+complement, and ``_Packed``, the one mutable value here, memoises per code
+packing and packing after a quotient.  Letters up to 254 fit in a byte,
+which covers every packed word of supremum <= 254; the public coalgebra
+calls refuse a larger supremum (``_require_codable``) before any work, so
+no lift carries into the next byte.
 """
 
 from __future__ import annotations
@@ -43,6 +60,10 @@ class SubstitutionError(ValueError):
 
 class NotPackedError(ValueError):
     """A packed word was required but the argument is not packed."""
+
+
+class ResourceLimitError(RuntimeError):
+    """A computation was refused because it exceeds a configured size cap."""
 
 
 _INDEX_RE = re.compile(r"[0-9]+\Z")
@@ -238,3 +259,115 @@ def quotient(w: Word, erase: "Word | Iterable[int]") -> Word:
     """
     kill = set(erase.letters if isinstance(erase, Word) else erase)
     return Word._raw(tuple([0 if i in kill else i for i in w.letters]))
+
+
+# the largest letter a code holds: byte 255 is letter 254
+_CODE_MAX_LETTER = 254
+# translates each byte b of a code to its letter b - 1
+_BYTE_TO_LETTER = bytes([(b - 1) % 256 for b in range(256)])
+# 0x01 and 0x7f in every byte of codes up to 256 bytes long; longer codes
+# make their own
+_ONES = int.from_bytes(b"\x01" * 256, "little")
+_SEVENS = 0x7F * _ONES
+
+
+def _require_codable(top: int) -> None:
+    # refuse a word whose largest letter would not fit in a code's byte
+    if top > _CODE_MAX_LETTER:
+        raise ResourceLimitError(
+            f"letter {top} exceeds {_CODE_MAX_LETTER}, the largest letter the coalgebra kernel codes"
+        )
+
+
+def _encode(letters: tuple) -> int:
+    """The code of a letter tuple whose letters are at most 254."""
+    return int.from_bytes(bytes([x + 1 for x in letters]), "little")
+
+
+def _code_shift(code: int) -> int:
+    """The bit shift that puts a code after this one: 8 times its length."""
+    return (code.bit_length() + 7) & -8
+
+
+def _decode(code: int) -> tuple:
+    """The letter tuple of a code."""
+    return tuple(code.to_bytes(_code_shift(code) >> 3, "little").translate(_BYTE_TO_LETTER))
+
+
+@lru_cache(maxsize=1 << 16)
+def _code_sup(code: int) -> int:
+    """The largest letter of a code; 0 for the empty word."""
+    return max(code.to_bytes(_code_shift(code) >> 3, "little"), default=1) - 1
+
+
+@lru_cache(maxsize=1 << 16)
+def _nonzero_bits(code: int) -> int:
+    """A 1 in the low bit of each byte of the code that holds a nonzero letter."""
+    if code < _ONES:
+        ones, sevens = _ONES, _SEVENS
+    else:
+        ones = (1 << _code_shift(code)) // 255
+        sevens = 0x7F * ones
+    # bits 1..7 of each byte, shifted down into bits 0..6 and folded into
+    # bit 0: set iff the byte is >= 2, that is iff its letter is nonzero (a
+    # fold of at most 7 places never reaches past its own byte's bit 7,
+    # which is clear)
+    y = code >> 1 & sevens
+    y |= y >> 4
+    y |= y >> 2
+    y |= y >> 1
+    return y & ones
+
+
+def _lift_code(code: int, t: int) -> int:
+    """The code with every nonzero letter raised by t, x0 fixed; as _lift."""
+    return code + t * _nonzero_bits(code) if t else code
+
+
+def _lift_codes(codes: "Iterable[int]", t: int) -> "list[int]":
+    """Each of the codes lifted by t, as _lift_code."""
+    return [c + t * _nonzero_bits(c) for c in codes] if t else list(codes)
+
+
+def _subword_codes(code: int) -> "tuple[list[int], list[int]]":
+    """Codes of the subwords on every subset of the positions, and alphabets.
+
+    Bit j of a subset m stands for position n - 1 - j of the n positions;
+    the first list holds the code of the letters at the positions of m, in
+    order, and the second the bitmask (bit i for letter i) of those of its
+    nonzero letters that occur more than once in the word, the only ones
+    a subword can share with the subword on the other positions.  Each
+    table is built from the subsets of the later positions, each of whose
+    subwords a new letter goes in front of, so the complement of m is
+    2^n - 1 - m, read from the other end of the lists.
+    """
+    sel = [0]
+    alph = [0]
+    word = code.to_bytes(_code_shift(code) >> 3, "little")
+    for b in reversed(word):
+        sel += [b | s << 8 for s in sel]
+        if b > 1 and word.count(b) > 1:
+            bit = 1 << b - 1
+            alph += [a | bit for a in alph]
+        else:
+            alph += alph
+    return sel, alph
+
+
+class _Packed(dict):
+    """Memo of packing by code: ``memo[code]`` is the code of the packed
+    word, ``memo[code, mask]`` that of the word quotiented by the letters
+    set in mask (bit i for letter i), then packed.  Each is computed by
+    ``_pack_letters``' rule on its first lookup; the memo holds one entry
+    per distinct key looked up, and lives as long as its owner."""
+
+    def __missing__(self, key: "int | tuple[int, int]") -> int:
+        if type(key) is int:
+            letters = _decode(key)
+        else:
+            code, mask = key
+            letters = tuple([0 if mask >> i & 1 else i for i in _decode(code)])
+        # uncached: this memo is the cache of the codes it packs
+        packed = _pack_letters.__wrapped__(letters)
+        packed = self[key] = key if packed is letters and type(key) is int else _encode(packed)
+        return packed

@@ -40,6 +40,7 @@ from packedwords import (
     subword,
 )
 from packedwords.algebra import _cuts
+from packedwords.words import _decode, _encode
 
 
 def sweep(max_examples: int) -> settings:
@@ -63,15 +64,17 @@ DELTA_FAULTS = ["lose", "multiplicity"]
 
 
 def corrupted_delta(real, word: tuple, fault: str):
-    """The coproduct kernel `real`, except that on the letter tuple `word`
-    its largest nontrivial term is lost ("lose") or has its multiplicity
-    raised by one ("multiplicity")."""
+    """The coded coproduct kernel `real`, except that on the code of the
+    letter tuple `word` its largest nontrivial term, in the order of the
+    decoded letter tuples, is lost ("lose") or has its multiplicity raised
+    by one ("multiplicity")."""
+    target = _encode(word)
 
-    def delta(letters):
-        terms = real(letters)
-        if letters == word:
+    def delta(code, *memos):
+        terms = real(code, *memos)
+        if code == target:
             terms = dict(terms)
-            split = max(k for k in terms if k[0] and k[1])
+            split = max((k for k in terms if k[0] and k[1]), key=lambda k: (_decode(k[0]), _decode(k[1])))
             if fault == "lose":
                 del terms[split]
             else:

@@ -340,9 +340,9 @@ class TestVerifySweep:
         seen = Counter()
         real = coalgebra._delta
 
-        def counted(letters):
-            seen[letters] += 1
-            return real(letters)
+        def counted(code, packed):
+            seen[code] += 1
+            return real(code, packed)
 
         monkeypatch.setattr(coalgebra, "_delta", counted)
         code, _, _ = run(capsys, "verify", law, "--max-len", "4")

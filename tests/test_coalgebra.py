@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
+import packedwords.cli as cli
 import packedwords.coalgebra as coalgebra
 from oracles import (
     CORRUPTED_WORDS,
@@ -21,6 +22,7 @@ from oracles import (
 from packedwords import (
     LinComb,
     NotPackedError,
+    ResourceLimitError,
     Tensor2,
     Word,
     antipode,
@@ -38,6 +40,7 @@ from packedwords import (
     verify_bialgebra,
     verify_coassociativity,
 )
+from packedwords.words import _decode, _encode, _Packed
 
 
 def W(text):
@@ -55,6 +58,11 @@ def words_up_to(max_len):
 def seeded_words(seed, n, count):
     rng = random.Random(seed)
     return [pack(Word(rng.randint(0, n) for _ in range(n))) for _ in range(count)]
+
+
+def kernel(letters):
+    # the coded coproduct kernel on a letter tuple, decoded
+    return {(_decode(u), _decode(v)): c for (u, v), c in coalgebra._delta(_encode(letters), _Packed()).items()}
 
 
 class TestTensor2:
@@ -233,9 +241,9 @@ class TestHopfVerifiers:
         seen = Counter()
         real = coalgebra._delta
 
-        def counted(letters):
-            seen[letters] += 1
-            return real(letters)
+        def counted(code, packed):
+            seen[_decode(code)] += 1
+            return real(code, packed)
 
         monkeypatch.setattr(coalgebra, "_delta", counted)
         w = W("1,2,1")
@@ -262,13 +270,20 @@ class TestAgainstOracles:
             assert coproduct(w) == brute_coproduct(w), w
 
     def test_kernel_on_the_unit_and_the_single_x0(self):
-        assert coalgebra._delta(()) == {((), ()): 1}
-        assert coalgebra._delta((0,)) == {((0,), ()): 1, ((), (0,)): 1}
+        assert coalgebra._delta(0, _Packed()) == {(0, 0): 1}
+        assert kernel((0,)) == {((0,), ()): 1, ((), (0,)): 1}
 
     def test_kernel_on_all_words_up_to_length_six(self):
         for w in words_up_to(6):
             expected = {(u.letters, v.letters): c for (u, v), c in brute_coproduct(w).terms.items()}
-            assert coalgebra._delta(w.letters) == expected, w
+            assert kernel(w.letters) == expected, w
+
+    def test_kernel_on_seeded_twelve_letter_words(self):
+        words = seeded_words(12, 12, 3)
+        assert all(len(w) == 12 for w in words)
+        for w in words:
+            expected = {(u.letters, v.letters): c for (u, v), c in brute_coproduct(w).terms.items()}
+            assert kernel(w.letters) == expected, w
 
     @pytest.mark.parametrize("n", [11, 12])
     def test_coproduct_at_the_cli_length_cap(self, n):
@@ -325,6 +340,45 @@ class TestAgainstOracles:
         for _ in range(20):
             u, v = rng.choice(words), rng.choice(words)
             assert antipode(shifted_concat(u, v)) == product(antipode(v), antipode(u)), (u, v)
+
+
+class TestCodeRange:
+    """A word is coded one letter per byte, so letters stop at 254."""
+
+    def test_the_reducible_word_up_to_254(self):
+        # the product of 254 copies of the word 1, whose antipode is -1*1
+        w = Word(range(1, 255))
+        assert len(factor_irreducible(w)) == 254
+        assert antipode(w) == LinComb.word(w)
+
+    def test_a_supremum_of_255_is_refused_before_any_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the kernel ran")
+
+        for name in ("_encode", "_delta", "_antipode"):
+            monkeypatch.setattr(coalgebra, name, refuse)
+        w = Word(range(1, 256))
+        calls = [coproduct, reduced_coproduct, antipode, verify_coassociativity, verify_antipode]
+        for call in calls:
+            with pytest.raises(ResourceLimitError, match="254"):
+                call(w)
+        # one word too large refuses the whole formal sum
+        mixed = LinComb({W("1"): 1, w: 2})
+        for call in (coproduct, antipode):
+            with pytest.raises(ResourceLimitError, match="254"):
+                call(mixed)
+
+    def test_a_product_of_supremum_255_is_refused_before_any_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the kernel ran")
+
+        for name in ("_encode", "_delta"):
+            monkeypatch.setattr(coalgebra, name, refuse)
+        u, v = Word(range(1, 129)), Word(range(1, 128))
+        with pytest.raises(ResourceLimitError, match="254"):
+            verify_bialgebra(u, v)
+        with pytest.raises(ResourceLimitError, match="254"):
+            verify_bialgebra(v, u)
 
 
 class TestLongWordSweep:
@@ -406,6 +460,46 @@ class TestThreads:
         for got in results:
             assert got == expected
 
+    def test_kernel_calls_and_sweeps_in_four_threads_get_identical_results(self):
+        # two threads run inside a verify sweep's shared memos, two outside
+        words = words_up_to(3) + seeded_words(5, 6, 3)
+        pairs = [(u, v) for u in words_up_to(2) for v in words_up_to(2)]
+
+        def work():
+            return (
+                [coproduct(w) for w in words],
+                [antipode(w) for w in words],
+                [verify_coassociativity(w) for w in words],
+                [verify_antipode(w) for w in words],
+                [verify_bialgebra(u, v) for u, v in pairs],
+            )
+
+        expected = work()
+        assert all(all(checks) for checks in expected[2:])
+        results = {}
+
+        def caller(i):
+            if i < 2:
+                with cli._shared_memos():
+                    results[i] = work()
+            else:
+                results[i] = work()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(results) == [0, 1, 2, 3]
+        for got in results.values():
+            assert got == expected
+
     def test_another_threads_sweep_is_not_shared(self, monkeypatch):
         # Δ calls per thread: verify_antipode outside a sweep recomputes the
         # antipodes of the shorter words, inside one it reuses them
@@ -413,9 +507,9 @@ class TestThreads:
         calls = Counter()
         real = coalgebra._delta
 
-        def counted(letters):
+        def counted(code, packed):
             calls[threading.get_ident()] += 1
-            return real(letters)
+            return real(code, packed)
 
         monkeypatch.setattr(coalgebra, "_delta", counted)
         me = threading.get_ident()

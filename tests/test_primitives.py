@@ -26,6 +26,7 @@ from packedwords import (
     product,
     reduced_coproduct,
 )
+from packedwords.words import _decode
 
 def W(text):
     return parse_word(text)
@@ -248,9 +249,9 @@ class TestPrimitiveSpace:
         calls = []
         real = primitives._delta
 
-        def counted(letters):
-            calls.append(letters)
-            return real(letters)
+        def counted(code, packed):
+            calls.append(_decode(code))
+            return real(code, packed)
 
         monkeypatch.setattr(primitives, "_delta", counted)
         primitive_space(n)

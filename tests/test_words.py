@@ -1,6 +1,8 @@
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from packedwords import (
     SubstitutionError,
@@ -14,7 +16,20 @@ from packedwords import (
     substitute,
     subword,
 )
-from packedwords.words import _is_packed_letters, _letters_text
+from oracles import sweep
+from packedwords.words import (
+    _code_shift,
+    _code_sup,
+    _decode,
+    _encode,
+    _is_packed_letters,
+    _letters_text,
+    _lift,
+    _lift_code,
+    _lift_codes,
+    _Packed,
+    _subword_codes,
+)
 
 
 def W(text):
@@ -214,3 +229,61 @@ class TestQuotient:
         for u in all_words(3, 3):
             for v in all_words(2, 3):
                 assert quotient(u, v) == Word(0 if i in v.letters else i for i in u.letters), (u, v)
+
+
+# letter tuples that fit a code: up to 20 letters, each at most 254
+codable = st.lists(st.integers(0, 254), max_size=20).map(tuple)
+
+
+class TestCodes:
+    """The int code of a letter tuple, as the coalgebra kernel uses it."""
+
+    def test_the_format(self):
+        assert _encode(()) == 0
+        assert _encode((0,)) == 1
+        assert _encode((1, 0, 254)) == 2 | 1 << 8 | 255 << 16
+        assert _code_shift(_encode((1, 0, 254))) == 24
+        assert _decode(0) == ()
+
+    @sweep(400)
+    @given(codable, codable, st.integers(0, 254))
+    def test_round_trip_concatenation_and_lift_agree_with_tuples(self, a, b, t):
+        ca, cb = _encode(a), _encode(b)
+        assert _decode(ca) == a
+        assert _code_sup(ca) == max(a, default=0)
+        assert _decode(ca | cb << _code_shift(ca)) == a + b
+        # a lift that keeps every letter at most 254
+        t %= 255 - max(a + b, default=0)
+        assert _decode(_lift_code(ca, t)) == _lift(a, t)
+        assert [_decode(x) for x in _lift_codes([ca, cb], t)] == [_lift(a, t), _lift(b, t)]
+
+    def test_a_lift_reaches_letter_254_without_carrying(self):
+        letters = (0, 1, 0, 2, 1, 0)
+        assert _decode(_lift_code(_encode(letters), 252)) == (0, 253, 0, 254, 253, 0)
+
+    def test_a_code_longer_than_256_letters_lifts_as_its_tuple(self):
+        letters = (0, 1, 2) * 100
+        assert _decode(_lift_code(_encode(letters), 7)) == _lift(letters, 7)
+
+    def test_subword_codes_list_every_subword_with_its_repeated_letters(self):
+        # bit j of a subset stands for position n - 1 - j; a mask keeps the
+        # nonzero letters that occur more than once in the word
+        for w in all_words(4, 3):
+            letters = w.letters
+            n = len(letters)
+            sel, alph = _subword_codes(_encode(letters))
+            assert len(sel) == len(alph) == 2**n
+            for m in range(2**n):
+                sub = tuple(letters[p] for p in range(n) if m >> (n - 1 - p) & 1)
+                assert _decode(sel[m]) == sub, (w, m)
+                repeated = {x for x in sub if x and letters.count(x) > 1}
+                assert alph[m] == sum(1 << x for x in repeated), (w, m)
+
+    def test_packed_memo_packs_and_quotients(self):
+        memo = _Packed()
+        for w in all_words(4, 4):
+            code = _encode(w.letters)
+            assert _decode(memo[code]) == pack(w).letters
+            for erase in range(1, 32, 3):
+                kept = quotient(w, {i for i in range(5) if erase >> i & 1})
+                assert _decode(memo[code, erase]) == pack(kept).letters, (w, erase)
