@@ -24,35 +24,38 @@ refuses a word of larger supremum, for ``verify_bialgebra`` the product
 u * v, with ``ResourceLimitError`` before any work; the CLI's 12-letter
 cap is far below the 255 letters such a packed word needs.
 
-The kernel's memos are these.  Coproducts (``_Deltas``, a dict that
-computes a word's coproduct when it is first looked up) live in
-``verify_coassociativity`` and ``verify_bialgebra``; antipodes in
-``antipode`` and ``verify_antipode``.  Each coproduct is packed through
-a ``words._Packed`` memo, one entry per distinct subword code and per
+The kernel's memos are these.  One ``_Memo`` per call, or per sweep,
+maps codes to coproducts, computing each on its first lookup, and holds
+the antipodes by code (``.antipodes``) and a ``words._Packed`` packing
+memo (``.packed``) with one entry per distinct subword code and per
 distinct (subword, erased letters) pair it meets, so at most 2^(n+1)
-entries for a word of n letters; it lives as long as the coproduct memo
-it belongs to, or for one ``coproduct`` or ``antipode`` call, or one
-matrix in ``primitives``.  All of these last one call, with one
-exception: while a CLI ``verify`` sweep runs (``_shared_memos``, which
-is thread-local), its verifier calls share the coproducts and antipodes
-of the words shorter than the one each checks, and the packing memo,
-and each call drops its own word's coproducts and antipodes when it
+entries for a word of n letters.  ``verify_coassociativity`` and
+``verify_bialgebra`` keep coproducts in it, ``antipode`` and
+``verify_antipode`` antipodes.  The antipode recursion reads a word's
+coproduct from it only where a caller put it there (``verify_antipode``,
+for the word it checks) and keeps none of those it computes.
+``coproduct`` uses a packing memo alone, as ``primitives`` does for each
+matrix.  All of these last one call, with one exception: while a CLI
+``verify`` sweep runs (``_shared_memos``, which is thread-local), its
+verifier calls share one ``_Memo``, and each call drops the coproducts
+and antipodes of the words as long as the one it checks when it
 returns.  So a sweep that has checked every word up to length n holds
 the coproducts or antipodes of the words up to length n - 1 only, and
-the packings of the subwords it has met.  Measured with ``tracemalloc``:
-the coproducts of the 185 words of length <= 4, which ``verify coassoc
---max-len 5`` ends with, are 1 923 terms in 0.23 MB, and the antipodes
+the packings of the subwords it has met.  Measured with ``tracemalloc``
+as the memory freed by clearing each map at the sweep's end: the
+coproducts of the 185 words of length <= 4, which ``verify coassoc
+--max-len 5`` ends with, are 1 923 terms in 0.21 MB, and the antipodes
 that ``verify antipode --max-len 5`` ends with 1 183 terms in 0.12 MB,
-beside a packing memo of 2 439 entries in about 0.2 MB; at ``--max-len
-6`` (the 1 267 words of length <= 5) they are 26 457 terms in 2.8 MB and
-25 449 terms in 2.0 MB, beside 21 711 packings in 1.6-1.9 MB.  The
+beside a packing memo of 2 439 entries in 0.16-0.22 MB; at ``--max-len
+6`` (the 1 267 words of length <= 5) they are 26 457 terms in 2.7 MB and
+25 449 terms in 2.0 MB, beside 21 711 packings in 1.6-2.0 MB.  The
 supremum and the nonzero-letter mask of a code are each kept in an
 ``lru_cache`` of 2^16 entries (``words._code_sup``,
 ``words._nonzero_bits``).  One coproduct is built from tables over the
 subsets of its word's positions, 2^n codes and 2^n alphabet masks: 4 096
 of each at the CLI cap of 12 letters.  One length-12 ``_delta`` call
 with a fresh packing memo peaked at 0.9-2.0 MB over seven words (the
-identity permutation and six seeded words).  A sweep's memos belong to
+identity permutation and six seeded words).  A sweep's memo belongs to
 one thread, and the ``lru_cache``s are safe to share, so every function
 here is safe to call from several threads; ``antipode`` and
 ``coproduct`` never hold terms beyond their call.
@@ -170,17 +173,44 @@ def reduced_coproduct(x: Union[Word, LinComb]) -> Tensor2:
     return Tensor2._raw({(u, v): c for (u, v), c in coproduct(x).terms.items() if len(u) and len(v)})
 
 
-def _antipode(
-    code: int, memo: dict[int, dict[int, int]], packed: _Packed, delta: dict[Split, int] | None = None
-) -> dict[int, int]:
-    # S(w) of the module docstring, on codes.  Every term of S(u) has the
-    # length and the supremum of u (the coproduct splits both and the
-    # product adds them up), so each product shifts and lifts a whole
-    # antipode by one amount.  A caller that already holds Δ(w) passes it as
-    # delta; a reducible w does not use it.
+class _Memo(dict):
+    # coproducts by code, each computed on its first lookup (_delta is read
+    # then), beside the antipodes by code (.antipodes) and the packing memo
+    # that they and their caller share (.packed)
+    def __init__(self) -> None:
+        super().__init__()
+        self.antipodes: dict[int, dict[int, int]] = {}
+        self.packed = _Packed()
+
+    def __missing__(self, x: int) -> dict[Split, int]:
+        d = self[x] = _delta(x, self.packed)
+        return d
+
+
+def _recursion(code: int, memo: _Memo) -> dict[int, int]:
+    # R(w) = -w - sum of m * S(u) * v over the terms m * u (x) v of Δ(w)
+    # with both slots nonempty, u strictly shorter than w.  Every term of
+    # S(u) has the length and the supremum of u (the coproduct splits both
+    # and the product adds them up), so each product shifts and lifts a
+    # whole antipode by one amount.  Δ(w) is read from memo if a caller put
+    # it there, and is not kept otherwise
+    acc = {code: -1}
+    get = acc.get
+    for (u, v), m in (memo.get(code) or _delta(code, memo.packed)).items():
+        if u and v:
+            tail = _lift_code(v, _code_sup(u)) << _code_shift(u)
+            for s, c in _antipode(u, memo).items():
+                k = s | tail
+                acc[k] = get(k, 0) - m * c
+    return {k: c for k, c in acc.items() if c}
+
+
+def _antipode(code: int, memo: _Memo) -> dict[int, int]:
+    # S(w) of the module docstring, on codes, kept in memo.antipodes: R(w)
+    # for an irreducible w
     if not code:
         return {0: 1}
-    result = memo.get(code)
+    result = memo.antipodes.get(code)
     if result is not None:
         return result
     letters = _decode(code)
@@ -194,22 +224,12 @@ def _antipode(
             lift -= max(f)
             f = _encode(f)
             shift = _code_shift(f)
-            sf = _antipode(f, memo, packed)
+            sf = _antipode(f, memo)
             head = list(zip(_lift_codes(sf, lift), sf.values()))
             result = {s | a << shift: d * c for s, d in head for a, c in result.items()}
-        memo[code] = result
-        return result
-    # irreducible: S(w) = -w - sum of S(u) * v over the splits with both
-    # slots nonempty, u strictly shorter than w
-    acc = {code: -1}
-    get = acc.get
-    for (u, v), m in (_delta(code, packed) if delta is None else delta).items():
-        if u and v:
-            tail = _lift_code(v, _code_sup(u)) << _code_shift(u)
-            for s, c in _antipode(u, memo, packed).items():
-                k = s | tail
-                acc[k] = get(k, 0) - m * c
-    result = memo[code] = {k: c for k, c in acc.items() if c}
+    else:
+        result = _recursion(code, memo)
+    memo.antipodes[code] = result
     return result
 
 
@@ -225,26 +245,13 @@ def antipode(x: Union[Word, LinComb]) -> LinComb:
     recursion is computed once per call and kept only until the call
     returns; nothing is cached between calls.
     """
-    memo: dict[int, dict[int, int]] = {}
-    packed = _Packed()
-    terms = _collect((s, c * t) for w, c in _codes(_as_lincomb(x)) for s, t in _antipode(w, memo, packed).items())
+    memo = _Memo()
+    terms = _collect((s, c * t) for w, c in _codes(_as_lincomb(x)) for s, t in _antipode(w, memo).items())
     raw = Word._raw
     return LinComb._raw({raw(_decode(s)): c for s, c in terms.items()})
 
 
-class _Deltas(dict):
-    # coproducts by code, each computed on its first lookup (_delta is read
-    # then), with the packing memo that they and their caller share
-    def __init__(self) -> None:
-        super().__init__()
-        self.packed = _Packed()
-
-    def __missing__(self, x: int) -> dict[Split, int]:
-        d = self[x] = _delta(x, self.packed)
-        return d
-
-
-# the memos of the verify sweep open on this thread, if any
+# the memo of the verify sweep open on this thread, if any
 _SWEEP = threading.local()
 
 
@@ -255,7 +262,7 @@ def _shared_memos():
     Each call keeps those of the words shorter than the one it checks and
     drops those of its own length when it returns.
     """
-    _SWEEP.memos = (_Deltas(), {})
+    _SWEEP.memos = _Memo()
     try:
         yield
     finally:
@@ -264,19 +271,19 @@ def _shared_memos():
 
 @contextmanager
 def _memos(*own: int):
-    # the (coproducts, antipodes) memos of one verifier call: fresh ones, or
-    # inside _shared_memos the sweep's, from which the entries of the words
-    # in own (those as long as the checked word) go when the call ends
+    # the memo of one verifier call: a fresh one, or inside _shared_memos
+    # the sweep's, from which the coproducts and antipodes of the words in
+    # own (those as long as the checked word) go when the call ends
     shared = getattr(_SWEEP, "memos", None)
     if shared is None:
-        yield _Deltas(), {}
+        yield _Memo()
         return
     try:
         yield shared
     finally:
-        for memo in shared:
-            for x in own:
-                memo.pop(x, None)
+        for x in own:
+            shared.pop(x, None)
+            shared.antipodes.pop(x, None)
 
 
 def _code_of(w: Word) -> int:
@@ -293,7 +300,7 @@ def verify_coassociativity(w: Word) -> bool:
     right: dict = {}
     lget = left.get
     rget = right.get
-    with _memos(code) as (deltas, _):
+    with _memos(code) as deltas:
         for (u, v), c in deltas[code].items():
             for (a, b), c2 in deltas[u].items():
                 key = (a, b, v)
@@ -316,7 +323,7 @@ def verify_bialgebra(u: Word, v: Word) -> bool:
     get = right.get
     # a factor is as long as the product when the other one is empty; then
     # it is the product, and its one Δ serves both sides
-    with _memos(*(x for x in (a, b) if x == uv)) as (deltas, _):
+    with _memos(*(x for x in (a, b) if x == uv)) as deltas:
         left = _delta(uv, deltas.packed) if a and b else deltas[uv]
         # each slot of a term of Δ(a) has a supremum t <= sup(a), so the
         # slots of Δ(b) are lifted once per t: firsts[t] and seconds[t] list
@@ -343,40 +350,43 @@ def verify_antipode(w: Word) -> bool:
     """Both convolution identities for the antipode, checked exactly.
 
     Multiplying the antipode of one slot of the coproduct against the other
-    slot must collapse everything to the counit times the unit.  For an
-    irreducible word the left identity holds by the construction of S; for
-    a reducible one S comes from the factors, so both identities are checks.
+    slot must collapse everything to the counit times the unit.  The right
+    sum, of ``u * S(v)`` over the terms ``u (x) v`` of Δ(w), is added up
+    here.  The left sum, of ``S(u) * v``, is not: it is the sum S is built
+    from.  Let ``E(w)`` be its part over the terms with an empty slot and
+    ``R(w) = -w - sum S(u) * v`` over the others (``_recursion``), so that
+    the left sum is ``E(w) - w - R(w)``.  For a nonempty w the terms with
+    an empty slot must be exactly ``w (x) e`` and ``e (x) w``, once each;
+    then ``E(w) = S(w) + w`` and the left sum is ``S(w) - R(w)``.  That is
+    zero by construction for an irreducible w, whose S is R(w); a reducible
+    w takes S from its factors, so ``S(w) = R(w)`` is checked.  The empty
+    word's coproduct must be ``e (x) e`` alone, which makes both sums e.
+    So this check fails wherever summing the left side would.
     """
     code = _code_of(w)
-    left: dict[int, int] = {}
-    right: dict[int, int] = {}
-    lget = left.get
-    rget = right.get
-    with _memos(code) as (deltas, memo):
-        packed = deltas.packed
-        delta = _delta(code, packed)
-        # S(w), for the term w (x) e: from the factors of a reducible w, else
-        # from this Δ(w)
-        _antipode(code, memo, packed, delta)
+    with _memos(code) as memo:
+        delta = memo[code]
+        if not code:
+            return delta == {(0, 0): 1}
+        if {(u, v): c for (u, v), c in delta.items() if not (u and v)} != {(code, 0): 1, (0, code): 1}:
+            return False
+        if len(_factors(w.letters)) > 1 and _antipode(code, memo) != _recursion(code, memo):
+            return False
         # the slots of a term add up to the length and the supremum of w,
-        # and every term of S(u) has the length and the supremum of u, so v
-        # fixes how far v is lifted and shifted after each term of S(u) on
-        # the left, and every term of S(v) after u on the right: lifted[v]
-        # holds both, worked out once for each v
-        lifted: dict[int, Tuple[int, list[Tuple[int, int]]]] = {}
+        # and every term of S(v) has the length and the supremum of v, so v
+        # fixes how far each term of S(v) is lifted and shifted after u:
+        # heads[v] holds them, worked out once for each v
+        right: dict[int, int] = {}
+        get = right.get
+        heads: dict[int, list[Tuple[int, int]]] = {}
         for (u, v), c in delta.items():
-            both = lifted.get(v)
-            if both is None:
+            head = heads.get(v)
+            if head is None:
                 t = _code_sup(u)
                 s = _code_shift(u)
-                sv = _antipode(v, memo, packed)
-                both = lifted[v] = (_lift_code(v, t) << s, [(x << s, d) for x, d in zip(_lift_codes(sv, t), sv.values())])
-            tail, head = both
-            for x, d in _antipode(u, memo, packed).items():
-                k = x | tail
-                left[k] = lget(k, 0) + c * d
+                sv = _antipode(v, memo)
+                head = heads[v] = [(x << s, d) for x, d in zip(_lift_codes(sv, t), sv.values())]
             for x, d in head:
                 k = u | x
-                right[k] = rget(k, 0) + c * d
-    target = {0: 1} if not code else {}
-    return all({k: c for k, c in side.items() if c} == target for side in (left, right))
+                right[k] = get(k, 0) + c * d
+    return not any(right.values())

@@ -15,9 +15,10 @@ so the empty word is 0, no byte of a code is zero and a code's length is
 ``(code.bit_length() + 7) // 8`` bytes (``_encode``, ``_decode``).  The
 concatenation of a and b is ``a | b << _code_shift(a)``.  Raising every
 nonzero letter by t is ``code + t * nz(code)``, where nz has a 1 in the
-low bit of each byte that holds a nonzero letter (a byte >= 2), found by
-a nonzero-byte test on the code with bit 0 of each byte cleared
-(``_nonzero_bits``; ``_lift_code`` and ``_lift_codes`` lift).
+low bit of each byte that holds a nonzero letter (a byte >= 2) and 0 in
+the others: the code's bytes translated through a table that sends every
+byte >= 2 to 1 and the rest to 0 (``_nonzero_bits``; ``_lift_code`` and
+``_lift_codes`` lift).
 ``_subword_codes`` lists the codes of the subwords on every subset of the
 positions, with bitmasks of the letters each may share with its
 complement, and ``_Packed``, the one mutable value here, memoises per code
@@ -265,10 +266,9 @@ def quotient(w: Word, erase: "Word | Iterable[int]") -> Word:
 _CODE_MAX_LETTER = 254
 # translates each byte b of a code to its letter b - 1
 _BYTE_TO_LETTER = bytes([(b - 1) % 256 for b in range(256)])
-# 0x01 and 0x7f in every byte of codes up to 256 bytes long; longer codes
-# make their own
-_ONES = int.from_bytes(b"\x01" * 256, "little")
-_SEVENS = 0x7F * _ONES
+# translates each byte of a code to 1 if its letter is nonzero (a byte >= 2),
+# else to 0
+_NONZERO_BYTE = bytes([b > 1 for b in range(256)])
 
 
 def _require_codable(top: int) -> None:
@@ -303,20 +303,7 @@ def _code_sup(code: int) -> int:
 @lru_cache(maxsize=1 << 16)
 def _nonzero_bits(code: int) -> int:
     """A 1 in the low bit of each byte of the code that holds a nonzero letter."""
-    if code < _ONES:
-        ones, sevens = _ONES, _SEVENS
-    else:
-        ones = (1 << _code_shift(code)) // 255
-        sevens = 0x7F * ones
-    # bits 1..7 of each byte, shifted down into bits 0..6 and folded into
-    # bit 0: set iff the byte is >= 2, that is iff its letter is nonzero (a
-    # fold of at most 7 places never reaches past its own byte's bit 7,
-    # which is clear)
-    y = code >> 1 & sevens
-    y |= y >> 4
-    y |= y >> 2
-    y |= y >> 1
-    return y & ones
+    return int.from_bytes(code.to_bytes(_code_shift(code) >> 3, "little").translate(_NONZERO_BYTE), "little")
 
 
 def _lift_code(code: int, t: int) -> int:

@@ -60,25 +60,36 @@ def sweep(max_examples: int) -> settings:
 
 # the words and the kinds of fault that corrupted_delta is applied with
 CORRUPTED_WORDS = [(1, 1), (1, 2, 1), (0, 1, 1)]
-DELTA_FAULTS = ["lose", "multiplicity"]
+EMPTY_SLOT_FAULTS = ["double w(x)e", "lose e(x)w", "stray 1(x)e"]
+DELTA_FAULTS = ["lose", "multiplicity"] + EMPTY_SLOT_FAULTS
 
 
 def corrupted_delta(real, word: tuple, fault: str):
     """The coded coproduct kernel `real`, except that on the code of the
     letter tuple `word` its largest nontrivial term, in the order of the
     decoded letter tuples, is lost ("lose") or has its multiplicity raised
-    by one ("multiplicity")."""
+    by one ("multiplicity"); or one term with an empty slot is wrong: the
+    term w (x) e doubled ("double w(x)e"), e (x) w lost ("lose e(x)w"), or
+    1 (x) e added ("stray 1(x)e")."""
     target = _encode(word)
+    one = _encode((1,))
 
     def delta(code, *memos):
         terms = real(code, *memos)
         if code == target:
             terms = dict(terms)
-            split = max((k for k in terms if k[0] and k[1]), key=lambda k: (_decode(k[0]), _decode(k[1])))
-            if fault == "lose":
-                del terms[split]
+            if fault == "double w(x)e":
+                terms[code, 0] += 1
+            elif fault == "lose e(x)w":
+                del terms[0, code]
+            elif fault == "stray 1(x)e":
+                terms[one, 0] = terms.get((one, 0), 0) + 1
             else:
-                terms[split] += 1
+                split = max((k for k in terms if k[0] and k[1]), key=lambda k: (_decode(k[0]), _decode(k[1])))
+                if fault == "lose":
+                    del terms[split]
+                else:
+                    terms[split] += 1
         return terms
 
     return delta

