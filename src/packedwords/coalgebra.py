@@ -11,6 +11,18 @@ cancels and the last product makes exactly the terms of the result.  Only
 irreducible words take the usual recursion over strictly smaller first
 slots, which reaches reducible subwords through the same memo.
 
+The product adds up the lengths and the suprema of its factors, and the
+two slots of each term of a coproduct add up to the length and the
+supremum of the word, so every term of S(w) has the length and the
+supremum of w.  A sum whose terms all share one length and one supremum
+is homogeneous: S(w), and so every product of antipodes.  A right
+factor x is lifted by the left factor's supremum and shifted past its
+length (``words._after``), so x goes after every term of a homogeneous
+sum by one amount, which any word of that length and supremum fixes
+(``_placed``): the recursion places v after S(u) by u, a reducible
+word's product places the S of each factor after any one term of the
+product so far, and ``verify_antipode`` places S(v) after u.
+
 Everything runs on one private integer kernel.  Words are coded as
 single ``int``s (the format is stated in ``words``: one byte per letter,
 concatenation by a shift and an or, a lift by one addition), a split is
@@ -37,12 +49,17 @@ for the word it checks) and keeps none of those it computes.
 ``coproduct`` uses a packing memo alone, as ``primitives`` does for each
 matrix.  All of these last one call, with one exception: while a CLI
 ``verify`` sweep runs (``_shared_memos``, which is thread-local), its
-verifier calls share one ``_Memo``, and each call drops the coproducts
-and antipodes of the words as long as the one it checks when it
-returns.  So a sweep that has checked every word up to length n holds
-the coproducts or antipodes of the words up to length n - 1 only, and
-the packings of the subwords it has met.  Measured with ``tracemalloc``
-as the memory freed by clearing each map at the sweep's end: the
+verifier calls share one ``_Memo``.  A ``verify_coassociativity`` or
+``verify_antipode`` call drops the coproduct and the antipode of the
+word it checks when it returns, so a sweep that has checked every word
+up to length n holds the coproducts or antipodes of the words up to
+length n - 1 only, and the packings of the subwords it has met.  A
+``verify_bialgebra`` call drops nothing: the sweep meets each factor
+many times and never keeps the coproduct of a product of two nonempty
+words, so after its pairs of words up to length n it holds the
+coproducts of those words, as a coassociativity sweep to length n + 1
+does.  Measured with ``tracemalloc`` as the memory freed by clearing
+each map at the sweep's end: the
 coproducts of the 185 words of length <= 4, which ``verify coassoc
 --max-len 5`` ends with, are 1 923 terms in 0.21 MB, and the antipodes
 that ``verify antipode --max-len 5`` ends with 1 183 terms in 0.12 MB,
@@ -75,12 +92,12 @@ from .algebra import FormalSum, LinComb, _as_lincomb, _collect, _factors
 from .algebra import product  # noqa: F401  kept importable here: perfbench/tracer.py wraps coalgebra.product
 from .words import (
     Word,
+    _after,
     _canonical_key,
     _code_shift,
     _code_sup,
     _decode,
     _encode,
-    _lift_code,
     _lift_codes,
     _Packed,
     _require_codable,
@@ -187,18 +204,22 @@ class _Memo(dict):
         return d
 
 
+def _placed(terms: dict[int, int], u: int) -> list[Tuple[int, int]]:
+    # each term x of a sum beside its coefficient, x as it stands in u * x:
+    # exact for every left factor with the length and the supremum of u
+    shift = _code_shift(u)
+    return [(x << shift, c) for x, c in zip(_lift_codes(terms, _code_sup(u)), terms.values())]
+
+
 def _recursion(code: int, memo: _Memo) -> dict[int, int]:
     # R(w) = -w - sum of m * S(u) * v over the terms m * u (x) v of Δ(w)
-    # with both slots nonempty, u strictly shorter than w.  Every term of
-    # S(u) has the length and the supremum of u (the coproduct splits both
-    # and the product adds them up), so each product shifts and lifts a
-    # whole antipode by one amount.  Δ(w) is read from memo if a caller put
-    # it there, and is not kept otherwise
+    # with both slots nonempty, u strictly shorter than w.  Δ(w) is read
+    # from memo if a caller put it there, and is not kept otherwise
     acc = {code: -1}
     get = acc.get
     for (u, v), m in (memo.get(code) or _delta(code, memo.packed)).items():
         if u and v:
-            tail = _lift_code(v, _code_sup(u)) << _code_shift(u)
+            tail = _after(u, v)
             for s, c in _antipode(u, memo).items():
                 k = s | tail
                 acc[k] = get(k, 0) - m * c
@@ -213,20 +234,15 @@ def _antipode(code: int, memo: _Memo) -> dict[int, int]:
     result = memo.antipodes.get(code)
     if result is not None:
         return result
-    letters = _decode(code)
-    factors = _factors(letters)
+    factors = _factors(_decode(code))
     if len(factors) > 1:
-        # reducible: the S of each factor (algebra._factors) goes in front
-        # of the product so far, lifted by the suprema of the factors after it
+        # reducible: the product so far is multiplied by the S of each
+        # factor (algebra._factors), last factor first; any one term of that
+        # homogeneous product places the next S
         result = {0: 1}
-        lift = max(letters)
-        for f in factors:
-            lift -= max(f)
-            f = _encode(f)
-            shift = _code_shift(f)
-            sf = _antipode(f, memo)
-            head = list(zip(_lift_codes(sf, lift), sf.values()))
-            result = {s | a << shift: d * c for s, d in head for a, c in result.items()}
+        for f in reversed(factors):
+            sf = _placed(_antipode(_encode(f), memo), next(iter(result)))
+            result = {s | x: c * d for s, c in result.items() for x, d in sf}
     else:
         result = _recursion(code, memo)
     memo.antipodes[code] = result
@@ -259,8 +275,8 @@ _SWEEP = threading.local()
 def _shared_memos():
     """Share coproducts and antipodes across the verifier calls made inside, on this thread.
 
-    Each call keeps those of the words shorter than the one it checks and
-    drops those of its own length when it returns.
+    A coassociativity or antipode check drops those of the word it checks
+    when it returns; a bialgebra check drops none.
     """
     _SWEEP.memos = _Memo()
     try:
@@ -273,7 +289,7 @@ def _shared_memos():
 def _memos(*own: int):
     # the memo of one verifier call: a fresh one, or inside _shared_memos
     # the sweep's, from which the coproducts and antipodes of the words in
-    # own (those as long as the checked word) go when the call ends
+    # own go when the call ends
     shared = getattr(_SWEEP, "memos", None)
     if shared is None:
         yield _Memo()
@@ -318,17 +334,17 @@ def verify_bialgebra(u: Word, v: Word) -> bool:
     top = u.sup
     _require_codable(top + v.sup)
     a, b = _encode(u.letters), _encode(v.letters)
-    uv = a | _lift_code(b, top) << _code_shift(a)
+    uv = a | _after(a, b)
     right: dict[Split, int] = {}
     get = right.get
-    # a factor is as long as the product when the other one is empty; then
-    # it is the product, and its one Δ serves both sides
-    with _memos(*(x for x in (a, b) if x == uv)) as deltas:
+    with _memos() as deltas:
+        # when one factor is empty the other is the product, and its one Δ
+        # serves both sides
         left = _delta(uv, deltas.packed) if a and b else deltas[uv]
-        # each slot of a term of Δ(a) has a supremum t <= sup(a), so the
-        # slots of Δ(b) are lifted once per t: firsts[t] and seconds[t] list
-        # them lifted by t, in the order of coeffs.  The slots of a term of
-        # Δ(a) add up to the length and the supremum of a
+        # the slots of Δ(b) are lifted once for each supremum t <= sup(a)
+        # that a slot of Δ(a) can have: firsts[t] and seconds[t] list them
+        # lifted by t, in the order of coeffs, and serve every term of Δ(a),
+        # whose slots differ in length; _placed per term would lift again
         terms_b = deltas[b]
         coeffs = list(terms_b.values())
         b1s = [b1 for b1, _ in terms_b]
@@ -372,20 +388,15 @@ def verify_antipode(w: Word) -> bool:
             return False
         if len(_factors(w.letters)) > 1 and _antipode(code, memo) != _recursion(code, memo):
             return False
-        # the slots of a term add up to the length and the supremum of w,
-        # and every term of S(v) has the length and the supremum of v, so v
-        # fixes how far each term of S(v) is lifted and shifted after u:
-        # heads[v] holds them, worked out once for each v
+        # v fixes the length and the supremum of u, so S(v) is placed after
+        # u once for each v
         right: dict[int, int] = {}
         get = right.get
         heads: dict[int, list[Tuple[int, int]]] = {}
         for (u, v), c in delta.items():
             head = heads.get(v)
             if head is None:
-                t = _code_sup(u)
-                s = _code_shift(u)
-                sv = _antipode(v, memo)
-                head = heads[v] = [(x << s, d) for x, d in zip(_lift_codes(sv, t), sv.values())]
+                head = heads[v] = _placed(_antipode(v, memo), u)
             for x, d in head:
                 k = u | x
                 right[k] = get(k, 0) + c * d

@@ -17,8 +17,10 @@ concatenation of a and b is ``a | b << _code_shift(a)``.  Raising every
 nonzero letter by t is ``code + t * nz(code)``, where nz has a 1 in the
 low bit of each byte that holds a nonzero letter (a byte >= 2) and 0 in
 the others: the code's bytes translated through a table that sends every
-byte >= 2 to 1 and the rest to 0 (``_nonzero_bits``; ``_lift_code`` and
-``_lift_codes`` lift).
+byte >= 2 to 1 and the rest to 0 (``_nonzero_bits``).  Codes are lifted
+by ``_lift_codes`` and placed after a left factor by ``_after``, the
+right factor's code in the shifted concatenation u * v, which is
+``u | _after(u, v)``.
 ``_subword_codes`` lists the codes of the subwords on every subset of the
 positions, with bitmasks of the letters each may share with its
 complement, and ``_Packed``, the one mutable value here, memoises per code
@@ -306,14 +308,14 @@ def _nonzero_bits(code: int) -> int:
     return int.from_bytes(code.to_bytes(_code_shift(code) >> 3, "little").translate(_NONZERO_BYTE), "little")
 
 
-def _lift_code(code: int, t: int) -> int:
-    """The code with every nonzero letter raised by t, x0 fixed; as _lift."""
-    return code + t * _nonzero_bits(code) if t else code
-
-
 def _lift_codes(codes: "Iterable[int]", t: int) -> "list[int]":
-    """Each of the codes lifted by t, as _lift_code."""
+    """Each of the codes with every nonzero letter raised by t, x0 fixed; as _lift."""
     return [c + t * _nonzero_bits(c) for c in codes] if t else list(codes)
+
+
+def _after(u: int, v: int) -> int:
+    """The code v takes in the product u * v: lifted by sup(u), shifted past u."""
+    return (v + _code_sup(u) * _nonzero_bits(v)) << _code_shift(u)
 
 
 def _subword_codes(code: int) -> "tuple[list[int], list[int]]":

@@ -335,6 +335,26 @@ class TestAgainstOracles:
         for w in words:
             assert antipode(w) == brute_antipode(w, memo), w
 
+    def test_antipode_of_four_to_six_irreducible_factors(self):
+        # the reducible antipode multiplies the factors' antipodes from the
+        # last factor to the first, each placed after the product so far
+        pieces = [w for n in (1, 2, 3) for w in enumerate_packed(n) if is_irreducible(w)]
+        rng = random.Random(46)
+        words = []
+        while len(words) < 15:
+            k = 4 + len(words) % 3
+            factors = [rng.choice(pieces) for _ in range(k)]
+            if sum(map(len, factors)) <= 8:
+                w = factors[0]
+                for f in factors[1:]:
+                    w = shifted_concat(w, f)
+                assert factor_irreducible(w) == factors
+                words.append(w)
+        assert any(len(w) == 8 for w in words)
+        memo = {}
+        for w in words:
+            assert antipode(w) == brute_antipode(w, memo), w
+
     def test_antipode_reverses_products_of_irreducible_words(self):
         words = [w for n in (2, 3, 4) for w in seeded_words(n + 20, n, 6) if is_irreducible(w)]
         rng = random.Random(5)
@@ -351,6 +371,11 @@ class TestCodeRange:
         w = Word(range(1, 255))
         assert len(factor_irreducible(w)) == 254
         assert antipode(w) == LinComb.word(w)
+        # an irreducible word whose antipode has several terms, before or
+        # after the 250 factors of 1,2,...,250, reaches letter 252
+        top, s = Word(range(1, 251)), W("2,1,2")
+        assert antipode(shifted_concat(top, s)) == product(antipode(s), LinComb.word(top))
+        assert antipode(shifted_concat(s, top)) == product(LinComb.word(top), antipode(s))
 
     def test_a_supremum_of_255_is_refused_before_any_work(self, monkeypatch):
         def refuse(*args):
@@ -492,6 +517,24 @@ class TestMemos:
             assert len(memo) == 0
             assert memo.antipodes
             assert max(len(_decode(x)) for x in memo.antipodes) == 3
+
+    def test_a_bialgebra_sweep_keeps_the_coproducts_of_its_factors(self, monkeypatch, capsys):
+        # a word is a factor in many pairs and its Δ is computed for the
+        # first; only the Δ of a product of two nonempty words is not kept
+        seen = Counter()
+        real = coalgebra._delta
+
+        def counted(code, packed):
+            seen[_decode(code)] += 1
+            return real(code, packed)
+
+        monkeypatch.setattr(coalgebra, "_delta", counted)
+        assert cli.main(["verify", "bialgebra", "--max-len", "3"]) == 0
+        assert capsys.readouterr().out.endswith("ALL PASS\n")
+        words = words_up_to(3)
+        products = Counter(shifted_concat(u, v).letters for u in words for v in words if len(u) and len(v))
+        for w in words:
+            assert seen[w.letters] <= products[w.letters] + 1, w
 
     def test_antipode_computes_each_coproduct_it_needs_once(self, monkeypatch):
         # the counts of the parent kernel, whose antipodes read no memo of

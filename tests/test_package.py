@@ -25,3 +25,12 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
     )
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_the_benchmark_tracer_installs_on_the_package():
+    # perfbench/tracer.py wraps module attributes by name, some of them
+    # imported only for it; each must still be there
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    code = "import tracer; tracer.install(tracer.Tracer())"
+    done = subprocess.run([sys.executable, "-c", code], cwd=perfbench, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

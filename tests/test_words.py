@@ -14,11 +14,13 @@ from packedwords import (
     parse_word,
     quotient,
     shift,
+    shifted_concat,
     substitute,
     subword,
 )
 from oracles import sweep
 from packedwords.words import (
+    _after,
     _code_shift,
     _code_sup,
     _decode,
@@ -26,7 +28,6 @@ from packedwords.words import (
     _is_packed_letters,
     _letters_text,
     _lift,
-    _lift_code,
     _lift_codes,
     _nonzero_bits,
     _Packed,
@@ -254,18 +255,22 @@ class TestCodes:
         assert _decode(ca) == a
         assert _code_sup(ca) == max(a, default=0)
         assert _decode(ca | cb << _code_shift(ca)) == a + b
-        # a lift that keeps every letter at most 254
+        # a lift that keeps every letter at most 254, here by placing a
+        # after the one-letter word t
         t %= 255 - max(a + b, default=0)
-        assert _decode(_lift_code(ca, t)) == _lift(a, t)
+        assert _decode(_after(_encode((t,)), ca) >> 8) == _lift(a, t)
         assert [_decode(x) for x in _lift_codes([ca, cb], t)] == [_lift(a, t), _lift(b, t)]
+        # b's letters kept below 255 - sup(a), so that the product fits
+        b = tuple(x % (255 - max(a, default=0)) for x in b)
+        assert _decode(ca | _after(ca, _encode(b))) == shifted_concat(Word(a), Word(b)).letters
 
     def test_a_lift_reaches_letter_254_without_carrying(self):
         letters = (0, 1, 0, 2, 1, 0)
-        assert _decode(_lift_code(_encode(letters), 252)) == (0, 253, 0, 254, 253, 0)
+        assert [_decode(x) for x in _lift_codes([_encode(letters)], 252)] == [(0, 253, 0, 254, 253, 0)]
 
     def test_a_code_longer_than_256_letters_lifts_as_its_tuple(self):
         letters = (0, 1, 2) * 100
-        assert _decode(_lift_code(_encode(letters), 7)) == _lift(letters, 7)
+        assert _decode(_after(_encode((7,)), _encode(letters)) >> 8) == _lift(letters, 7)
 
     def test_nonzero_bits_follow_the_per_letter_rule(self):
         # bit 8i is set iff letter i + 1 is nonzero, for codes of up to 300
