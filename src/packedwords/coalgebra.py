@@ -53,7 +53,13 @@ verifier calls share one ``_Memo``.  A ``verify_coassociativity`` or
 ``verify_antipode`` call drops the coproduct and the antipode of the
 word it checks when it returns, so a sweep that has checked every word
 up to length n holds the coproducts or antipodes of the words up to
-length n - 1 only, and the packings of the subwords it has met.  A
+length n - 1 only, and the packings of the subwords it has met.  Such a
+sweep computes a dropped word's coproduct again when the word reappears
+as a slot of a longer word: ``verify coassoc --max-len 5`` makes 1 452
+``_delta`` calls for its 1 267 words (each of the 185 words of length
+<= 4 twice), and ``verify antipode --max-len 5`` makes 1 347.  That is
+the price of not holding the last length's coproducts, which would
+take that sweep from the 0.21 MB below to 2.7 MB.  A
 ``verify_bialgebra`` call drops nothing: the sweep meets each factor
 many times and never keeps the coproduct of a product of two nonempty
 words, so after its pairs of words up to length n it holds the

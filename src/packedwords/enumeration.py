@@ -7,8 +7,11 @@ Stirling numbers of the second kind.  Totals per length follow the
 exponential generating function e^x/(2-e^x), expanded here by the
 recurrence its coefficients obey, and the irreducible counts come out of
 the free-monoid structure, either as an inclusion-exclusion over
-compositions or by an integer recurrence; each total d_n is evaluated
-once and kept.  The words themselves are generated depth first in
+compositions or by an integer recurrence.  The Stirling rows, the totals
+d_n and the irreducible counts i_n are kept in three tables that grow on
+demand by one rule: the missing terms are appended whole, in order, under
+one lock, so each term is computed once and the counts are safe to call
+from several threads.  The words themselves are generated depth first in
 canonical order, pruned so that every prefix extends to a packed word, as
 letter tuples from one walk with two optional prunes.  Given a supremum,
 the walk pins its running maximum there from the start, so only the words
@@ -25,8 +28,9 @@ is an arbitrary-precision integer.
 
 from __future__ import annotations
 
+import threading
 from math import comb, factorial
-from typing import Iterable, Iterator, Tuple
+from typing import Any, Callable, Iterable, Iterator, Tuple
 
 from .words import Word
 
@@ -43,63 +47,70 @@ __all__ = [
     "egf_check",
 ]
 
-# triangle rows built on demand; row n holds S(n, 0..n)
+# the counting tables, indexed by m: the rows S(m, 0..m), the totals d_m
+# and the irreducible counts i_m
 _STIRLING_ROWS: list[list[int]] = [[1]]
+_PACKED_TOTALS: list[int] = [1]
+_irreducible_cache: list[int] = [0]
+_GROW = threading.RLock()
+
+
+def _upto(terms: list, n: int, term: Callable[[list, int], Any]) -> list:
+    # the table terms, holding at least terms[0..n].  Only here does a table
+    # grow: each missing terms[m] = term(terms, m) is appended whole and in
+    # order under _GROW, so a caller that sees len(terms) > n may read
+    # terms[n] without the lock, and no term is computed twice.  The lock is
+    # re-entrant because a term of one table reads the table below it.
+    if n >= len(terms):
+        with _GROW:
+            for m in range(len(terms), n + 1):
+                terms.append(term(terms, m))
+    return terms
+
+
+def _check(n: int, k: int) -> None:
+    if n < 0 or k < 0:
+        raise ValueError(f"need n, k >= 0, got ({n}, {k})")
+
+
+def _stirling_row(rows: list[list[int]], m: int) -> list[int]:
+    prev = rows[m - 1]
+    return [0] + [prev[j - 1] + j * prev[j] for j in range(1, m)] + [1]
 
 
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind: n-set partitions into k blocks."""
-    if n < 0 or k < 0:
-        raise ValueError(f"need n, k >= 0, got ({n}, {k})")
+    _check(n, k)
     if k > n:
         return 0
-    global _STIRLING_ROWS
-    rows = _STIRLING_ROWS
-    if n >= len(rows):
-        # build the longer list first and publish it in one assignment, so a
-        # concurrent caller only ever sees a complete table
-        rows = list(rows)
-        for m in range(len(rows), n + 1):
-            prev = rows[-1]
-            rows.append([0] + [prev[j - 1] + j * prev[j] for j in range(1, m)] + [1])
-        _STIRLING_ROWS = rows
-    return rows[n][k]
+    return _upto(_STIRLING_ROWS, n, _stirling_row)[n][k]
 
 
 def count_packed_pure(n: int, k: int) -> int:
     """Packed words of length n and supremum k that avoid x0."""
+    _check(n, k)
     return stirling2(n, k) * factorial(k)
 
 
 def count_packed_zero(n: int, k: int) -> int:
     """Packed words of length n and supremum k that contain x0."""
+    _check(n, k)
     return stirling2(n, k + 1) * factorial(k + 1)
 
 
 def count_packed(n: int, k: int) -> int:
     """All packed words of length n and supremum k."""
+    _check(n, k)
     return stirling2(n + 1, k + 1) * factorial(k)
 
 
-# totals d_0..d_m by the Stirling closed form, built on demand
-_PACKED_TOTALS: list[int] = [1]
-
-
-def _packed_totals(n: int) -> list[int]:
-    # d_0..d_m for some m >= n, each length's sum evaluated once
-    global _PACKED_TOTALS
-    totals = _PACKED_TOTALS
-    if n >= len(totals):
-        # build the longer list first and publish it in one assignment, as
-        # _STIRLING_ROWS is
-        totals = totals + [sum(count_packed(m, k) for k in range(m + 1)) for m in range(len(totals), n + 1)]
-        _PACKED_TOTALS = totals
-    return totals
+def _packed_total(totals: list[int], m: int) -> int:
+    return sum(count_packed(m, k) for k in range(m + 1))
 
 
 def count_packed_total(n: int) -> int:
     """All packed words of length n."""
-    return _packed_totals(n)[n] if n >= 0 else 0
+    return _upto(_PACKED_TOTALS, n, _packed_total)[n] if n >= 0 else 0
 
 
 def _packed_letters(n: int, sup: "int | None" = None, irreducible: bool = False) -> Iterator[Tuple[int, ...]]:
@@ -232,7 +243,9 @@ def enumerate_irreducible(n: int) -> list[Word]:
     return list(map(Word._raw, _packed_letters(n, irreducible=True)))
 
 
-_irreducible_cache: list[int] = [0]
+def _irreducible(i: list[int], m: int) -> int:
+    d = _upto(_PACKED_TOTALS, m, _packed_total)
+    return d[m] - sum(i[j] * d[m - j] for j in range(1, m))
 
 
 def count_irreducible(n: int) -> int:
@@ -244,17 +257,7 @@ def count_irreducible(n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    global _irreducible_cache
-    cache = _irreducible_cache
-    if n >= len(cache):
-        # build the longer list first and publish it in one assignment, so a
-        # concurrent caller only ever sees a complete list
-        d = _packed_totals(n)
-        cache = list(cache)
-        for m in range(len(cache), n + 1):
-            cache.append(d[m] - sum(cache[j] * d[m - j] for j in range(1, m)))
-        _irreducible_cache = cache
-    return cache[n]
+    return _upto(_irreducible_cache, n, _irreducible)[n]
 
 
 def count_irreducible_compositions(n: int) -> int:

@@ -194,6 +194,10 @@ def substitute(phi: Mapping[int, int], w: Word) -> Word:
     return Word(out)
 
 
+# The cache stays although the kernel packs through _Packed with the uncached
+# rule: the public pack() reads it, and perfbench/tracer.py clears it and
+# reads its counters around every call of a traced job, so a traced
+# benchmark run fails without it.
 @lru_cache(maxsize=1 << 18)
 def _pack_letters(letters: tuple) -> tuple:
     nonzero = sorted({i for i in letters if i})

@@ -31,13 +31,27 @@ def W(text):
 def climb_together(monkeypatch, tables, call, cases, rounds):
     """Faults seen when four threads each check call(n) == want for every case.
 
-    Each round first resets each module-level memo of ``enumeration`` named
-    in ``tables`` to its cold value there, so the threads grow them
-    together, with a 1 us switch interval.
+    Each round first resets each module-level table of ``enumeration`` named
+    in ``tables`` to a fresh copy of its cold value there, then releases the
+    four threads together from a barrier, so they grow the tables together,
+    with a 1 us switch interval.  After each round, each table it reset must
+    hold exactly the terms one thread leaves there calling call(n) for every
+    case from cold: those up to the largest n asked, each with its value.
     """
+
+    def reset():
+        for table, cold in tables.items():
+            monkeypatch.setattr(enumeration, table, list(cold))
+
+    reset()
+    for n, _ in cases:
+        call(n)
+    alone = {table: getattr(enumeration, table) for table in tables}
     faults = []
+    start = threading.Barrier(4)
 
     def caller():
+        start.wait(timeout=60)
         for n, want in cases:
             try:
                 got = call(n)
@@ -51,14 +65,16 @@ def climb_together(monkeypatch, tables, call, cases, rounds):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(rounds):
-            for table, cold in tables.items():
-                monkeypatch.setattr(enumeration, table, cold)
+            reset()
             threads = [threading.Thread(target=caller) for _ in range(4)]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
+            for table, terms in alone.items():
+                grown = getattr(enumeration, table)
+                assert grown == terms, f"{table}: {len(grown)} terms, {len(terms)} alone"
     finally:
         sys.setswitchinterval(interval)
     return faults
@@ -85,10 +101,10 @@ class TestStirling:
                 assert stirling2(n + 1, k) == stirling2(n, k - 1) + k * stirling2(n, k)
 
     def test_concurrent_cold_callers_see_exact_values(self, monkeypatch):
-        # regression: the shared table was grown in place, so cold concurrent
-        # callers could append the same row twice and then raise IndexError
-        # or read a row from the wrong place; the memo of totals is reset too,
-        # so that every call reaches the table
+        # regression: the shared table was once grown in place with no lock,
+        # so cold concurrent callers could append the same row twice and then
+        # raise IndexError or read a row from the wrong place; the memo of
+        # totals is reset too, so that every call reaches the table
         cases = [(n, count_packed_total(n)) for n in range(40)]
         cold = {"_STIRLING_ROWS": [[1]], "_PACKED_TOTALS": [1]}
         faults = climb_together(monkeypatch, cold, count_packed_total, cases, rounds=30)
@@ -118,13 +134,22 @@ class TestCounts:
                 assert d == count_packed_pure(n, k) + count_packed_zero(n, k)
                 assert d == stirling2(n + 1, k + 1) * factorial(k)
 
+    @pytest.mark.parametrize("n, k", [(0, -1), (-2, 0), (-1, 0), (3, -1)])
+    @pytest.mark.parametrize("count", [count_packed, count_packed_pure, count_packed_zero])
+    def test_negative_arguments_rejected(self, count, n, k):
+        # regression: count_packed_zero(0, -1) gave 1, count_packed(-1, 0)
+        # gave 0 and count_packed(-2, 0) named (-1, 1)
+        with pytest.raises(ValueError, match=rf"^need n, k >= 0, got \({n}, {k}\)$"):
+            count(n, k)
+
     def test_row_sums(self):
         for n in range(13):
             assert sum(count_packed(n, k) for k in range(n + 1)) == count_packed_total(n)
 
     def test_concurrent_cold_callers_see_exact_totals(self, monkeypatch):
         # the memo of totals starts cold each round while four threads climb
-        # it, so a list published before it was complete would show
+        # it, so a total read before it was appended, or appended twice,
+        # would show
         cases = [(n, sum(count_packed(n, k) for k in range(n + 1))) for n in range(60)]
         faults = climb_together(monkeypatch, {"_PACKED_TOTALS": [1]}, count_packed_total, cases, rounds=10)
         assert not faults, faults[:5]

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -29,8 +30,13 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
 
 def test_the_benchmark_tracer_installs_on_the_package():
     # perfbench/tracer.py wraps module attributes by name, some of them
-    # imported only for it; each must still be there
+    # imported only for it; each must still be there.  A traced job also
+    # reads the package's private caches (words._pack_letters), so one runs.
     perfbench = Path(__file__).resolve().parent.parent / "perfbench"
-    code = "import tracer; tracer.install(tracer.Tracer())"
+    code = (
+        "import json, tracer; tracer.install(tracer.Tracer()); "
+        "print(json.dumps(tracer.run_job([['product', '1', '1']], True)))"
+    )
     done = subprocess.run([sys.executable, "-c", code], cwd=perfbench, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["layers"]
