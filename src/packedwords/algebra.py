@@ -30,17 +30,24 @@ __all__ = [
 ]
 
 def _scalar(c: object) -> Union[int, Fraction]:
-    # ints stay ints; everything else (Fraction, float, str, bool) is made exact
-    return c if type(c) is int else Fraction(c)
+    # ints stay ints; everything else (Fraction, float, str, bool) is made
+    # exact, and an int if it is integral
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _collect(terms: Iterable[Tuple[Hashable, object]]) -> dict:
-    """Sum the coefficients per key, then drop the keys whose sum is zero."""
+    """Sum the coefficients per key, then drop the keys whose sum is zero.
+
+    An integral sum is stored as an ``int``.
+    """
     acc: dict = {}
     get = acc.get
     for k, c in terms:
         acc[k] = get(k, 0) + c
-    return {k: c for k, c in acc.items() if c}
+    return {k: c if type(c) is int else _scalar(c) for k, c in acc.items() if c}
 
 
 def shifted_concat(u: Word, v: Word) -> Word:
@@ -115,9 +122,7 @@ class FormalSum:
 
     def __rmul__(self, scalar: object):
         c = _scalar(scalar)
-        if not c:
-            return self.zero()
-        return self._raw({k: c * v for k, v in self.terms.items()})
+        return self._raw(_collect((k, c * v) for k, v in self.terms.items()))
 
     def text(self) -> str:
         """Canonically ordered rendering of "coefficient*key" terms."""

@@ -35,7 +35,7 @@ from .enumeration import (
     enumerate_packed,
 )
 from .primitives import ResourceLimitError, primitive_space
-from .words import NotPackedError, Word, WordSyntaxError, _is_packed_letters, _letters_text, _lift
+from .words import Word, _is_packed_letters, _letters_text, _lift
 from .words import parse_word, require_packed
 
 EXIT_OK = 0
@@ -293,7 +293,7 @@ def main(argv: "list[str] | None" = None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (WordSyntaxError, NotPackedError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

@@ -41,9 +41,10 @@ maps codes to coproducts, computing each on its first lookup, and holds
 the antipodes by code (``.antipodes``) and a ``words._Packed`` packing
 memo (``.packed``) with one entry per distinct subword code and per
 distinct (subword, erased letters) pair it meets, so at most 2^(n+1)
-entries for a word of n letters.  ``verify_coassociativity`` and
-``verify_bialgebra`` keep coproducts in it, ``antipode`` and
-``verify_antipode`` antipodes.  The antipode recursion reads a word's
+entries for a word of n letters; a miss packs the code's bytes by the
+rule ``words.pack`` applies to letters, with no decoding.
+``verify_coassociativity`` and ``verify_bialgebra`` keep coproducts in
+it, ``antipode`` and ``verify_antipode`` antipodes.  The antipode recursion reads a word's
 coproduct from it only where a caller put it there (``verify_antipode``,
 for the word it checks) and keeps none of those it computes.
 ``coproduct`` uses a packing memo alone, as ``primitives`` does for each
@@ -394,16 +395,10 @@ def verify_antipode(w: Word) -> bool:
             return False
         if len(_factors(w.letters)) > 1 and _antipode(code, memo) != _recursion(code, memo):
             return False
-        # v fixes the length and the supremum of u, so S(v) is placed after
-        # u once for each v
         right: dict[int, int] = {}
         get = right.get
-        heads: dict[int, list[Tuple[int, int]]] = {}
         for (u, v), c in delta.items():
-            head = heads.get(v)
-            if head is None:
-                head = heads[v] = _placed(_antipode(v, memo), u)
-            for x, d in head:
+            for x, d in _placed(_antipode(v, memo), u):
                 k = u | x
                 right[k] = get(k, 0) + c * d
     return not any(right.values())

@@ -24,10 +24,13 @@ right factor's code in the shifted concatenation u * v, which is
 ``_subword_codes`` lists the codes of the subwords on every subset of the
 positions, with bitmasks of the letters each may share with its
 complement, and ``_Packed``, the one mutable value here, memoises per code
-packing and packing after a quotient.  Letters up to 254 fit in a byte,
-which covers every packed word of supremum <= 254; the public coalgebra
-calls refuse a larger supremum (``_require_codable``) before any work, so
-no lift carries into the next byte.
+packing and packing after a quotient.  One relabelling rule,
+``_relabelled``, packs both letter tuples (``_pack_letters``), whose zero
+symbol is letter 0, and the bytes of codes (``_Packed``), whose zero
+symbol is byte 1, so a code is packed without being decoded.  Letters up
+to 254 fit in a byte, which covers every packed word of supremum <= 254;
+the public coalgebra calls refuse a larger supremum (``_require_codable``)
+before any work, so no lift carries into the next byte.
 """
 
 from __future__ import annotations
@@ -194,18 +197,25 @@ def substitute(phi: Mapping[int, int], w: Word) -> Word:
     return Word(out)
 
 
-# The cache stays although the kernel packs through _Packed with the uncached
-# rule: the public pack() reads it, and perfbench/tracer.py clears it and
-# reads its counters around every call of a traced job, so a traced
-# benchmark run fails without it.
+def _relabelled(symbols: "tuple | bytes", zero: int, make: type) -> "tuple | bytes":
+    # the pack rule: the distinct symbols above zero become zero + 1,
+    # zero + 2, ... in order, zero stays, and make builds the result from
+    # them; symbols come back as they are if nothing moves
+    above = sorted(set(symbols) - {zero})
+    if not above or above[-1] - zero == len(above):
+        return symbols
+    relabel = {s: m for m, s in enumerate(above, start=zero + 1)}
+    relabel[zero] = zero
+    return make(map(relabel.__getitem__, symbols))
+
+
+# The cache serves only the public pack() and perfbench/tracer.py, which
+# clears it and reads its counters around every call of a traced job, so a
+# traced benchmark run fails without it; the kernel packs codes through
+# _Packed.
 @lru_cache(maxsize=1 << 18)
 def _pack_letters(letters: tuple) -> tuple:
-    nonzero = sorted({i for i in letters if i})
-    if not nonzero or nonzero[-1] == len(nonzero):
-        return letters
-    relabel = {j: m for m, j in enumerate(nonzero, start=1)}
-    relabel[0] = 0
-    return tuple(relabel[i] for i in letters)
+    return _relabelled(letters, 0, tuple)
 
 
 def pack(w: Word) -> Word:
@@ -350,17 +360,16 @@ def _subword_codes(code: int) -> "tuple[list[int], list[int]]":
 class _Packed(dict):
     """Memo of packing by code: ``memo[code]`` is the code of the packed
     word, ``memo[code, mask]`` that of the word quotiented by the letters
-    set in mask (bit i for letter i), then packed.  Each is computed by
-    ``_pack_letters``' rule on its first lookup; the memo holds one entry
-    per distinct key looked up, and lives as long as its owner."""
+    set in mask (bit i for letter i), then packed.  Each is computed on its
+    first lookup by the pack rule on the code's bytes, whose zero symbol
+    is byte 1 (letter 0); the memo holds one entry per distinct key looked
+    up, and lives as long as its owner."""
 
     def __missing__(self, key: "int | tuple[int, int]") -> int:
-        if type(key) is int:
-            letters = _decode(key)
-        else:
-            code, mask = key
-            letters = tuple([0 if mask >> i & 1 else i for i in _decode(code)])
-        # uncached: this memo is the cache of the codes it packs
-        packed = _pack_letters.__wrapped__(letters)
-        packed = self[key] = key if packed is letters and type(key) is int else _encode(packed)
+        code, mask = (key, 0) if type(key) is int else key
+        word = code.to_bytes(_code_shift(code) >> 3, "little")
+        if mask:
+            # the letters set in mask become letter 0, byte 1
+            word = bytes([1 if mask >> b - 1 & 1 else b for b in word])
+        packed = self[key] = int.from_bytes(_relabelled(word, 1, bytes), "little")
         return packed

@@ -12,8 +12,9 @@ right-hand recursion, the mirror image of the library's, and by
 Takeuchi's closed form over ordered set partitions, the series
 e^x/(2-e^x) by truncated ``Fraction`` series arithmetic, and reduced row
 echelon forms by textbook Gauss-Jordan elimination.  ``packed_words`` and
-``sweep`` set up the hypothesis sweeps, and ``corrupted_delta`` injects
-the faults that every Hopf verifier must notice.
+``sweep`` set up the hypothesis sweeps, ``words_up_to`` the exhaustive
+ones, and ``corrupted_delta`` injects the faults that every Hopf verifier
+must notice.
 """
 
 from __future__ import annotations
@@ -56,6 +57,11 @@ def sweep(max_examples: int) -> settings:
         database=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
+
+
+def words_up_to(max_len: int) -> list:
+    """Every packed word of length at most max_len, shortest first."""
+    return [w for n in range(max_len + 1) for w in enumerate_packed(n)]
 
 
 # the words and the kinds of fault that corrupted_delta is applied with

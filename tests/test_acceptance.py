@@ -11,7 +11,7 @@ from collections import Counter
 from itertools import combinations
 from itertools import product as iproduct
 
-from oracles import _rref, brute_factorizations
+from oracles import _rref, brute_factorizations, words_up_to
 from packedwords import (
     LinComb,
     Tensor2,
@@ -63,10 +63,6 @@ def W(text):
 def report(number, name, ok, detail=None):
     print(f"criterion {number:2d} [{'PASS' if ok else 'FAIL'}] {name}")
     assert ok, detail or f"criterion {number} failed: {name}"
-
-
-def words_up_to(max_len):
-    return [w for n in range(max_len + 1) for w in enumerate_packed(n)]
 
 
 def test_criterion_01_length_supremum_table():

@@ -3,12 +3,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from oracles import _factor_rightmost, brute_cut_table, brute_decompositions, brute_is_irreducible, packed_words, sweep
+from oracles import (
+    _factor_rightmost,
+    brute_cut_table,
+    brute_decompositions,
+    brute_is_irreducible,
+    packed_words,
+    sweep,
+    words_up_to,
+)
 from packedwords import (
     LinComb,
     NotPackedError,
     Word,
     admissible_cuts,
+    counit,
     enumerate_packed,
     factor_irreducible,
     is_irreducible,
@@ -21,10 +30,6 @@ from packedwords import (
 
 def W(text):
     return parse_word(text)
-
-
-def words_up_to(max_len):
-    return [w for n in range(max_len + 1) for w in enumerate_packed(n)]
 
 
 class TestShiftedConcat:
@@ -106,6 +111,17 @@ class TestLinComb:
         assert all(type(c) is int for c in product(a, a).terms.values())
         # an integral Fraction renders like the equal int
         assert LinComb.word(W("1"), Fraction(4, 2)).text() == (2 * LinComb.word(W("1"))).text() == "2*1"
+        # every integral value is stored as an int, however it was reached
+        half = Fraction(1, 2)
+        for integral in (
+            LinComb.word(W("1"), True),
+            LinComb.word(W("1"), Fraction(4, 2)),
+            LinComb({W("1"): 2.0}),
+            half * a + half * a,
+            Fraction(1, 3) * (3 * a),
+        ):
+            assert integral.terms and all(type(c) is int for c in integral.terms.values()), integral
+        assert type(counit(half * LinComb.unit() + half * LinComb.unit())) is int
 
     def test_scalar_multiples_keep_the_type(self):
         a = LinComb({W("1"): 3, W("0,1"): -1})

@@ -19,6 +19,7 @@ from oracles import (
     packed_words,
     sweep,
     takeuchi_antipode,
+    words_up_to,
 )
 from packedwords import (
     LinComb,
@@ -50,10 +51,6 @@ def W(text):
 
 def T(*terms):
     return Tensor2({(W(u), W(v)): c for u, v, c in terms})
-
-
-def words_up_to(max_len):
-    return [w for n in range(max_len + 1) for w in enumerate_packed(n)]
 
 
 def seeded_words(seed, n, count):

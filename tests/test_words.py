@@ -119,6 +119,11 @@ class TestPack:
     def test_all_zero_words_are_fixed(self):
         assert pack(W("0,0,0")) == W("0,0,0")
 
+    def test_letters_above_a_byte(self):
+        # letter tuples hold any letter; only the kernel's codes stop at 254
+        assert pack(W("1000,0,5,1000")) == W("2,0,1,2")
+        assert pack(W("256,255,0,300")) == W("2,1,0,3")
+
     def test_is_packed(self):
         assert is_packed(W("1,1,3,0,2"))
         assert not is_packed(W("1,1,5,0,4"))
@@ -304,3 +309,17 @@ class TestCodes:
             for erase in range(1, 32, 3):
                 kept = quotient(w, {i for i in range(5) if erase >> i & 1})
                 assert _decode(memo[code, erase]) == pack(kept).letters, (w, erase)
+        # longer words, which the memo packs on bytes up to letter 254 (byte
+        # 255); masks erase some of the word's letters, 254 in about half
+        rng = random.Random(31)
+        for _ in range(300):
+            letters = tuple(rng.choice([0, 254, rng.randint(1, 254)]) for _ in range(rng.randint(8, 12)))
+            w = Word(letters)
+            code = _encode(letters)
+            assert _decode(memo[code]) == pack(w).letters, letters
+            for _ in range(3):
+                erase = {x for x in letters if x and rng.random() < 0.3}
+                if rng.random() < 0.5:
+                    erase.add(254)
+                mask = sum(1 << x for x in erase)
+                assert _decode(memo[code, mask]) == pack(quotient(w, erase)).letters, (letters, erase)
