@@ -305,21 +305,26 @@ def _code_shift(code: int) -> int:
     return (code.bit_length() + 7) & -8
 
 
+def _code_bytes(code: int) -> bytes:
+    """The bytes of a code, one per position, each its letter plus one."""
+    return code.to_bytes((code.bit_length() + 7) >> 3, "little")
+
+
 def _decode(code: int) -> tuple:
     """The letter tuple of a code."""
-    return tuple(code.to_bytes(_code_shift(code) >> 3, "little").translate(_BYTE_TO_LETTER))
+    return tuple(_code_bytes(code).translate(_BYTE_TO_LETTER))
 
 
 @lru_cache(maxsize=1 << 16)
 def _code_sup(code: int) -> int:
     """The largest letter of a code; 0 for the empty word."""
-    return max(code.to_bytes(_code_shift(code) >> 3, "little"), default=1) - 1
+    return max(_code_bytes(code), default=1) - 1
 
 
 @lru_cache(maxsize=1 << 16)
 def _nonzero_bits(code: int) -> int:
     """A 1 in the low bit of each byte of the code that holds a nonzero letter."""
-    return int.from_bytes(code.to_bytes(_code_shift(code) >> 3, "little").translate(_NONZERO_BYTE), "little")
+    return int.from_bytes(_code_bytes(code).translate(_NONZERO_BYTE), "little")
 
 
 def _lift_codes(codes: "Iterable[int]", t: int) -> "list[int]":
@@ -346,7 +351,7 @@ def _subword_codes(code: int) -> "tuple[list[int], list[int]]":
     """
     sel = [0]
     alph = [0]
-    word = code.to_bytes(_code_shift(code) >> 3, "little")
+    word = _code_bytes(code)
     for b in reversed(word):
         sel += [b | s << 8 for s in sel]
         if b > 1 and word.count(b) > 1:
@@ -367,7 +372,7 @@ class _Packed(dict):
 
     def __missing__(self, key: "int | tuple[int, int]") -> int:
         code, mask = (key, 0) if type(key) is int else key
-        word = code.to_bytes(_code_shift(code) >> 3, "little")
+        word = _code_bytes(code)
         if mask:
             # the letters set in mask become letter 0, byte 1
             word = bytes([1 if mask >> b - 1 & 1 else b for b in word])

@@ -619,14 +619,25 @@ class TestBlocks:
         assert m.n_cols == 720
         assert len(m.nullspace()) == permutation_primitive_dims(6)[5] == 572
 
-    def test_empty_and_single_word_blocks(self):
+    def test_empty_and_single_word_blocks(self, monkeypatch):
         assert delta_plus_matrix(3, 4).n_cols == 0
         assert delta_plus_matrix(3, 4).nullspace() == []
+        # a supremum above any letter a code holds is still an empty block
+        assert delta_plus_matrix(3, 300).n_cols == 0
+        assert delta_plus_matrix(3, 300).nullspace() == []
         zero = delta_plus_matrix(3, 0)
         assert zero.col_labels == [W("0,0,0")]
         assert zero.nullspace() == []
         with pytest.raises(ValueError):
             delta_plus_matrix(3, -1)
+
+        # a grade no code holds is refused before any word is generated
+        def refuse(*args):
+            raise AssertionError("delta_plus_matrix enumerated a grade it must refuse")
+
+        monkeypatch.setattr(primitives, "enumerate_packed", refuse)
+        with pytest.raises(ResourceLimitError):
+            delta_plus_matrix(255)
 
     @pytest.mark.parametrize("n", [1, 3, 4])
     def test_builds_one_block_at_a_time(self, n, monkeypatch):
