@@ -340,6 +340,23 @@ class TestRecheck:
         assert all(c for z in vectors for c in z.terms.values())
 
 
+class TestCancel:
+    """One cancellation of a working row against a pivot row, in place."""
+
+    def test_a_dividing_lead_touches_only_the_pivot_columns(self):
+        # the lead 1 divides 2: the row is not scaled, and its entries
+        # outside the pivot row's columns keep their common factor 2
+        row = {0: 2, 3: 4, 5: 2}
+        primitives._cancel(row, {5: 1, 1: 1}, 5)
+        assert row == {0: 2, 3: 4, 1: -2}
+
+    def test_a_lead_that_does_not_divide_scales_and_divides_the_row(self):
+        # 2 * row - 3 * prow = {0: 12, 1: -6}, divided by its gcd 6
+        row = {0: 6, 5: 3}
+        primitives._cancel(row, {5: 2, 1: 2}, 5)
+        assert row == {0: 2, 1: -1}
+
+
 class TestSolverInvariance:
     def test_row_permutation_leaves_output_unchanged(self):
         m = delta_plus_matrix(2)
@@ -385,6 +402,11 @@ class TestEliminationAgainstReference:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_reduced_coproduct_grades(self, n):
         self.check(delta_plus_matrix(n))
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_grade_five_blocks(self, k):
+        # blocks (5, 3) and (5, 4) take 5-6 s each against the reference
+        self.check(delta_plus_matrix(5, k))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_sparse_integer_matrices(self, seed):
