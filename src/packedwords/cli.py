@@ -19,11 +19,11 @@ import argparse
 import os
 import sys
 from contextlib import suppress
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator
 
 from . import algebra
-from .algebra import _cuts, factor_irreducible, shifted_concat
+from .algebra import factor_irreducible, shifted_concat
 from .algebra import is_irreducible  # noqa: F401  kept importable here: perfbench/tracer.py wraps cli.is_irreducible
 from .coalgebra import _shared_memos, antipode, coproduct, verify_antipode, verify_bialgebra, verify_coassociativity
 from .enumeration import (
@@ -35,7 +35,7 @@ from .enumeration import (
     enumerate_packed,
 )
 from .primitives import ResourceLimitError, primitive_space
-from .words import Word, _is_packed_letters, _letters_text, _lift
+from .words import Word, _is_packed_letters, _letters_text, _lift, _refuse_above
 from .words import parse_word, require_packed
 
 EXIT_OK = 0
@@ -61,8 +61,7 @@ def _nonnegative(name: str, value: int) -> None:
 
 def _check_cap(what: str, value: int, cap: int, flag: str) -> None:
     _nonnegative(flag, cap)
-    if value > cap:
-        raise ResourceLimitError(f"{what} {value} exceeds the cap {cap}; raise {flag} explicitly")
+    _refuse_above(what, value, cap, f"raise {flag} explicitly")
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -81,20 +80,18 @@ def _write_lines(lines: Iterator[str]) -> None:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    n_max = args.max_n
-    _nonnegative("--max-n", n_max)
+    _nonnegative("--max-n", args.max_n)
+    lengths = range(args.max_n + 1)
     if args.kind == "dnk":
-        print("\t".join(["n\\k"] + [str(k) for k in range(n_max + 1)]))
-        for n in range(n_max + 1):
-            print("\t".join([str(n)] + [str(count_packed(n, k)) for k in range(n_max + 1)]))
+        # built one at a time, so a large --max-n holds one row only
+        corner, rows = "n\\k", ([n, *(count_packed(n, k) for k in lengths)] for n in lengths)
     elif args.kind == "dn":
-        print("\t".join(["n"] + [str(n) for n in range(n_max + 1)]))
-        print("\t".join(["d_n"] + [str(count_packed_total(n)) for n in range(n_max + 1)]))
+        corner, rows = "n", [["d_n", *map(count_packed_total, lengths)]]
     else:
         # the length-0 entry is the empty-product convention, reported as 1
-        values = ["1"] + [str(count_irreducible(n)) for n in range(1, n_max + 1)]
-        print("\t".join(["n"] + [str(n) for n in range(n_max + 1)]))
-        print("\t".join(["i_n"] + values))
+        corner, rows = "n", [["i_n", 1, *map(count_irreducible, lengths[1:])]]
+    for row in chain([[corner, *lengths]], rows):
+        print("\t".join(map(str, row)))
     return EXIT_OK
 
 
@@ -123,17 +120,18 @@ def _factorization_failure(group: tuple[int, int]) -> "str | None":
     # the words of length n come in strictly increasing order, so they are
     # distinct, and each must be packed: with d_n of them they are all the
     # packed words of length n.  Each is its own single factor, checked
-    # packed here, or its factors are packed, have no cut and rebuild it, and
-    # then it is packed already: a shifted concatenation of packed words is
-    # packed, since each factor's letters 1..k are lifted onto the k letters
-    # just above those before it, and 0 stays 0.  With i_n of the d_n
-    # words having a single factor at each n, shifted concatenation is then
-    # a bijection from sequences of irreducible words onto packed words
-    # (induction on n), whatever _cuts says.  _factors is looked up here, at
-    # run time, so that a patched one is the one that runs.
+    # packed here, or its factors are packed words that _factors leaves
+    # whole and they rebuild it, and then it is packed already: a shifted
+    # concatenation of packed words is packed, since each factor's letters
+    # 1..k are lifted onto the k letters just above those before it, and 0
+    # stays 0.  With i_n of the d_n words having a single factor at each n,
+    # shifted concatenation is then a bijection from sequences of those
+    # words onto packed words (induction on n), whatever _factors says.
+    # _factors is looked up here, at run time, so that a patched one is the
+    # one that runs, on the words and on their factors alike.
     n, total = group
     factors_of = algebra._factors
-    irreducible_factor: dict = {}  # factor letters -> packed, nonempty, no cut
+    irreducible_factor: dict = {}  # factor letters -> packed, nonempty, left whole
     count = single = 0
     previous: tuple = ()
     for w in _packed_letters(n):
@@ -142,7 +140,7 @@ def _factorization_failure(group: tuple[int, int]) -> "str | None":
         previous = w
         count += 1
         factors = factors_of(w)
-        if len(factors) == 1 and factors[0] == w:
+        if factors == [w]:
             if not _is_packed_letters(w):
                 return _letters_text(w)
             single += 1
@@ -151,7 +149,7 @@ def _factorization_failure(group: tuple[int, int]) -> "str | None":
         for f in factors:
             ok = irreducible_factor.get(f)
             if ok is None:
-                ok = irreducible_factor[f] = bool(f) and _is_packed_letters(f) and not _cuts(f)
+                ok = irreducible_factor[f] = bool(f) and _is_packed_letters(f) and factors_of(f) == [f]
             if not ok:
                 return _letters_text(w)
             rebuilt += _lift(f, top)

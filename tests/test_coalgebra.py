@@ -15,8 +15,10 @@ from oracles import (
     EMPTY_SLOT_FAULTS,
     brute_antipode,
     brute_coproduct,
+    complement,
     corrupted_delta,
     packed_words,
+    reverse,
     sweep,
     takeuchi_antipode,
     words_up_to,
@@ -78,6 +80,8 @@ class TestTensor2:
     def test_text_rendering_is_canonical(self):
         t = T(("1,1", "e", 1), ("1", "0", 2), ("e", "1,1", 1))
         assert t.text() == "1*e (x) 1,1 + 2*1 (x) 0 + 1*1,1 (x) e"
+        # pairs with the same left slot follow their right slots
+        assert T(("1", "1,1", 1), ("1", "0", 1)).text() == "1*1 (x) 0 + 1*1 (x) 1,1"
         assert Tensor2.zero().text() == "0"
 
     def test_scalar_multiples_keep_the_type(self):
@@ -402,6 +406,72 @@ class TestCodeRange:
             verify_bialgebra(u, v)
         with pytest.raises(ResourceLimitError, match="254"):
             verify_bialgebra(v, u)
+
+
+def _rc_lincomb(x):
+    # the reverse of the complement, applied to each word of a formal sum
+    return LinComb({Word(reverse(complement(w.letters))): c for w, c in x.terms.items()})
+
+
+class TestSymmetries:
+    """The coproduct commutes with the reverse and the complement of a word,
+    each applied to both slots, and S composed with the reverse of the
+    complement is an involution; the symmetries are the oracles' own."""
+
+    @pytest.mark.parametrize("symmetry", [reverse, complement], ids=["reverse", "complement"])
+    def test_the_coproduct_commutes_with_the_symmetry(self, symmetry):
+        ws = words_up_to(5)
+        assert len(ws) == 1267
+        for w in ws:
+            mapped = {(symmetry(u.letters), symmetry(v.letters)): c for (u, v), c in coproduct(w).terms.items()}
+            direct = {(u.letters, v.letters): c for (u, v), c in coproduct(Word(symmetry(w.letters))).terms.items()}
+            assert direct == mapped, w
+
+    @pytest.mark.parametrize(
+        "words",
+        [words_up_to(4), seeded_words(1, 8, 5)],
+        ids=["length-4", "seeded-length-8"],
+    )
+    def test_antipode_after_reverse_complement_is_an_involution(self, words):
+        # S(rc(S(rc(w)))) = w, though S and rc do not commute on most words
+        for w in words:
+            assert antipode(_rc_lincomb(antipode(_rc_lincomb(LinComb.word(w))))) == LinComb.word(w), w
+
+
+class TestEntryChecks:
+    """Every public kernel entry checks its words before any work."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            coproduct,
+            reduced_coproduct,
+            antipode,
+            verify_coassociativity,
+            verify_antipode,
+            lambda w: verify_bialgebra(w, W("1")),
+            lambda w: verify_bialgebra(W("1"), w),
+        ],
+        ids=[
+            "coproduct",
+            "reduced_coproduct",
+            "antipode",
+            "verify_coassociativity",
+            "verify_antipode",
+            "verify_bialgebra-left",
+            "verify_bialgebra-right",
+        ],
+    )
+    def test_refuses_a_word_not_packed_and_a_tuple(self, monkeypatch, call):
+        def refuse(*args):
+            raise AssertionError("the kernel ran")
+
+        for name in ("_encode", "_delta", "_antipode"):
+            monkeypatch.setattr(coalgebra, name, refuse)
+        with pytest.raises(NotPackedError):
+            call(W("2"))
+        with pytest.raises(TypeError):
+            call((1,))
 
 
 class TestLongWordSweep:
