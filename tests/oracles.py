@@ -13,10 +13,9 @@ Takeuchi's closed form over ordered set partitions, the series
 e^x/(2-e^x) by truncated ``Fraction`` series arithmetic, and reduced row
 echelon forms by textbook Gauss-Jordan elimination.  ``reverse`` and
 ``complement``, the two symmetries of a letter tuple, are written on the
-tuples alone.  ``packed_words`` and
-``sweep`` set up the hypothesis sweeps, ``words_up_to`` the exhaustive
-ones, and ``corrupted_delta`` injects the faults that every Hopf verifier
-must notice.
+tuples alone.  ``packed_words`` and ``sweep`` set up the hypothesis
+sweeps, ``words_up_to`` the exhaustive ones, and ``corrupted_delta``
+injects the faults that every Hopf verifier must notice.
 """
 
 from __future__ import annotations

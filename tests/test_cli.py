@@ -213,7 +213,14 @@ class TestPinnedOutput:
 
     @pytest.mark.parametrize(
         "call",
-        ["product 1 1", "table in --max-n 100", "enumerate 7 --irreducible", "verify factorization --max-len 7"],
+        [
+            "product 1 1",
+            "table in --max-n 100",
+            "enumerate 7 --irreducible",
+            "verify factorization --max-len 7",
+            "coproduct 7,7,8,1,6,3,5,9,5,5,2,4",
+            "antipode 0,2,1,2,0,4,1,3",
+        ],
     )
     def test_output_matches_its_pin(self, capsys, call):
         pin = json.loads(self.PINS.read_text())["calls"][call]

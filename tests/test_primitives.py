@@ -222,7 +222,13 @@ class TestPrimitiveSpace:
     def test_deterministic_output(self):
         assert primitive_space(3).text() == primitive_space(3).text()
 
-    def test_grade_cap(self):
+    def test_grade_cap(self, monkeypatch):
+        # refused before any block is built, so a lost cap fails here
+        # rather than start grade 7
+        def refuse(*args):
+            raise AssertionError("primitive_space built a block of a grade it must refuse")
+
+        monkeypatch.setattr(primitives, "delta_plus_matrix", refuse)
         with pytest.raises(ResourceLimitError):
             primitive_space(7)
         with pytest.raises(ValueError):
